@@ -81,6 +81,15 @@ class DependabilityMetrics:
         return (self.t, self.reliability, self.safety, self.prob_fail_safe, self.prob_fail_unsafe)
 
 
+def _class_columns(model: MarkovModel) -> tuple[list[int], list[int], list[int]]:
+    """State indices summed into R, Pfs and Pfu, in that order."""
+    return (
+        list(model.class_indices(StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL)),
+        list(model.class_indices(StateClass.FAIL_SAFE)),
+        list(model.class_indices(StateClass.FAIL_UNSAFE)),
+    )
+
+
 def metrics(dist: Sequence[float] | np.ndarray, model: MarkovModel, t: float) -> DependabilityMetrics:
     """Collapse one distribution into the four metrics.
 
@@ -92,9 +101,7 @@ def metrics(dist: Sequence[float] | np.ndarray, model: MarkovModel, t: float) ->
         raise LengthMismatchError(
             f"distribution has shape {vec.shape}, model has {model.n} states"
         )
-    delivering = list(model.class_indices(StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL))
-    safe = list(model.class_indices(StateClass.FAIL_SAFE))
-    unsafe = list(model.class_indices(StateClass.FAIL_UNSAFE))
+    delivering, safe, unsafe = _class_columns(model)
     reliability = float(vec[delivering].sum())
     prob_fail_safe = float(vec[safe].sum())
     prob_fail_unsafe = float(vec[unsafe].sum())
@@ -292,15 +299,15 @@ def export_timeseries(
     then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
     """
     header = ["t", *_disambiguated_labels(model), "R", "S", "Pfs", "Pfu"]
+    probs = trajectory.probs
+    # per-class column sums add each row's entries in the same order as
+    # metrics() does, so every exported row equals metrics() on that row
+    reliability, prob_fail_safe, prob_fail_unsafe = (
+        probs[:, idx].sum(axis=1) for idx in _class_columns(model)
+    )
+    columns = [trajectory.times, probs, reliability, reliability + prob_fail_safe,
+               prob_fail_safe, prob_fail_unsafe]
     if mass_defect is not None:
         header.append("mass_defect")
-    rows: list[list[float]] = []
-    for k in range(len(trajectory)):
-        t = float(trajectory.times[k])
-        m = metrics(trajectory.probs[k], model, t)
-        row = [t, *(float(x) for x in trajectory.probs[k]),
-               m.reliability, m.safety, m.prob_fail_safe, m.prob_fail_unsafe]
-        if mass_defect is not None:
-            row.append(float(mass_defect(k)))
-        rows.append(row)
-    return header, rows
+        columns.append([float(mass_defect(k)) for k in range(len(trajectory))])
+    return header, np.column_stack(columns).tolist()

@@ -19,6 +19,11 @@ Four methods:
   coverage, so total probability leaks; the leak per step is returned as
   a :class:`MassDefectReport` instead of being patched over.  The mode
   is defined only for models with exactly that seven-state shape.
+
+A grid solve does the work once for all its times: one shared block of
+uniformization powers, one Euler or literal march.  ``solve_at`` is row 0
+of a one-point grid.  Only ``MATRIX_EXP`` imports SciPy.  Runaway work
+(``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a NumericFailureError.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     DepmarkError,
@@ -144,6 +148,9 @@ class MassDefectReport:
 #: Hard cap on the number of matrix-vector terms in one uniformization
 #: series; beyond this the solve is refused rather than left to crawl.
 UNIFORMIZATION_TERM_CAP = 10_000_000
+#: Hard cap on the steps of one Euler or literal march (a remainder step
+#: counts as one), checked before any stepping or allocation.
+EULER_STEP_CAP = 1_000_000
 
 _BAND = 1e-9  # tolerated numeric undershoot before clamping
 
@@ -198,39 +205,44 @@ def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
     return lo, below + [w_mode] + above
 
 
-def _solve_uniformization(
-    gen: GeneratorMatrix, p0: np.ndarray, times: Sequence[float], eps: float
-) -> list[np.ndarray]:
-    q = gen.entries
-    rate = float(np.max(np.abs(np.diag(q))))
+def _uniformization_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
+    gen = build_generator(model)
+    p0 = model.initial_vector()
+    rate = float(np.max(np.abs(np.diag(gen.entries))))
     if rate == 0.0:
-        return [p0.copy() for _ in times]
+        return np.tile(p0, (len(grid), 1))
 
     # rough a-priori cap check so absurd horizons fail fast
-    q_max = rate * max(times, default=0.0)
+    q_max = rate * max(grid, default=0.0)
     if q_max + 12.0 * math.sqrt(q_max + 1.0) + 20.0 > UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
             f"uniformization would need ~{q_max:.3g} terms for L*t = {q_max:.3g}, "
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
 
-    stoch = np.eye(gen.n) + q / rate
-    powers = [p0.astype(float)]  # powers[k] = p0 (I + Q/L)^k
-
-    out: list[np.ndarray] = []
-    for t in times:
+    # powers[k] = p0 (I + Q/L)^k, shared by every time; rows [0, filled)
+    # are computed, and the block doubles when a window reaches past it
+    out = np.empty((len(grid), gen.n))
+    stoch = np.eye(gen.n) + gen.entries / rate
+    powers = p0[np.newaxis, :].copy()
+    filled = 1
+    for row, t in enumerate(grid):
         qt = rate * t
         if qt == 0.0:
-            out.append(p0.copy())
+            out[row] = p0
             continue
-        lo, weights = _poisson_window(qt, eps)
-        hi = lo + len(weights) - 1
-        while len(powers) <= hi:
-            powers.append(powers[-1] @ stoch)
-        acc = np.zeros(gen.n)
-        for offset, w in enumerate(weights):
-            acc += w * powers[lo + offset]
-        out.append(_finalize(acc))
+        lo, weights = _poisson_window(qt, config.eps)
+        end = lo + len(weights)
+        if end > len(powers):
+            grown = np.empty((max(end, 2 * len(powers)), gen.n))
+            grown[:filled] = powers[:filled]
+            powers = grown
+        for prev, cur in zip(powers[filled - 1:end - 1], powers[filled:end]):
+            np.matmul(prev, stoch, out=cur)
+        filled = max(filled, end)
+        # summed in term order, not by BLAS, whose order varies by build
+        terms = np.array(weights)[:, np.newaxis] * powers[lo:end]
+        out[row] = _finalize(terms.sum(axis=0))
     return out
 
 
@@ -238,8 +250,15 @@ def _solve_uniformization(
 # matrix exponential and Euler
 
 
-def _solve_matrix_exp(gen: GeneratorMatrix, p0: np.ndarray, t: float) -> np.ndarray:
-    return _finalize(p0 @ scipy.linalg.expm(gen.entries * t))
+def _expm_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
+    import scipy.linalg  # deferred: costs more to import than the other methods take to run
+
+    q = build_generator(model).entries
+    p0 = model.initial_vector()
+    out = np.empty((len(grid), model.n))
+    for row, t in enumerate(grid):
+        out[row] = _finalize(p0 @ scipy.linalg.expm(q * t))
+    return out
 
 
 def _euler_guard(gen: GeneratorMatrix, dt: float) -> None:
@@ -248,6 +267,15 @@ def _euler_guard(gen: GeneratorMatrix, dt: float) -> None:
         raise StepTooLargeError(
             f"Euler step dt = {dt:g} violates dt * max|Q_ii| < 1 (max exit rate {rate:g}); "
             f"use dt < {1.0 / rate if rate else math.inf:g}"
+        )
+
+
+def _check_step_budget(t: float, dt: float) -> None:
+    """Refuse a march from 0 to t that takes more than EULER_STEP_CAP
+    steps of dt, with the same lattice tolerance as :func:`_split_steps`."""
+    if t - EULER_STEP_CAP * dt > 1e-9 * max(t, dt):
+        raise NumericFailureError(
+            f"reaching t = {t:g} with dt = {dt:g} takes more than {EULER_STEP_CAP} steps"
         )
 
 
@@ -260,16 +288,25 @@ def _split_steps(t: float, dt: float) -> tuple[int, float]:
     return whole, t - whole * dt
 
 
-def _solve_euler(gen: GeneratorMatrix, p0: np.ndarray, t: float, dt: float) -> np.ndarray:
+def _euler_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
+    """March p_{k+1} = p_k (I + Q dt) once, to the last grid time.  A time
+    off the step lattice takes its remainder step on a copy, never carried
+    forward, so every row equals a march from 0 to that time."""
+    dt = config.dt
+    gen = build_generator(model)
     _euler_guard(gen, dt)
-    steps, rem = _split_steps(t, dt)
+    _check_step_budget(max(grid, default=0.0), dt)
+    out = np.empty((len(grid), gen.n))
     step_matrix = np.eye(gen.n) + gen.entries * dt
-    p = p0.astype(float)
-    for _ in range(steps):
-        p = p @ step_matrix
-    if rem > 0.0:
-        p = p @ (np.eye(gen.n) + gen.entries * rem)
-    return _finalize(p)
+    p = model.initial_vector()
+    done = 0
+    for row, t in enumerate(grid):
+        steps, rem = _split_steps(t, dt)
+        for _ in range(steps - done):
+            p = p @ step_matrix
+        done = steps
+        out[row] = _finalize(p @ (np.eye(gen.n) + gen.entries * rem) if rem > 0.0 else p)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +437,10 @@ def _literal_step(
     )
 
 
-def _as_step_index(t: float, dt: float, what: str) -> int:
+def _as_step_index(t: float, dt: float) -> int:
     k = round(t / dt)
     if abs(k * dt - t) > 1e-9 * max(abs(t), dt):
-        raise ValueError(f"{what} {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
+        raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
     return k
 
 
@@ -424,34 +461,24 @@ def solve_paper_literal(
     rates = _extract_literal_rates(model)
     dt = config.dt
     if grid is None:
-        horizon = config.horizon
-        if horizon is None:
-            horizon = model.horizon if model.horizon is not None else SIX_MONTHS_HOURS
-        last = _as_step_index(horizon, dt, "horizon")
-        wanted = {k: k for k in range(last + 1)}
-        times = [k * dt for k in range(last + 1)]
-    else:
-        _check_grid(grid)
-        steps = [_as_step_index(t, dt, "grid time") for t in grid]
-        last = max(steps, default=0)
-        wanted = {}
-        for row, k in enumerate(steps):
-            wanted[k] = row
-        times = list(grid)
+        grid = _horizon_times(model, config)
+    _check_grid(grid)
+    _check_step_budget(max(grid, default=0.0), dt)
+    steps = [_as_step_index(t, dt) for t in grid]
+    last = max(steps, default=0)
 
-    n_rows = len(times)
-    probs = np.zeros((n_rows, 7))
-    defects = np.zeros(last)
+    probs = np.empty((len(grid), 7))
+    defects = np.empty(last)
     p = tuple(model.initial_vector())
-    if 0 in wanted:
-        probs[wanted[0]] = p
-    for k in range(1, last + 1):
-        p = _literal_step(p, rates, dt)
-        defects[k - 1] = 1.0 - (p[0] + p[1] + p[2] + p[3] + p[4] + p[5] + p[6])
-        if k in wanted:
-            probs[wanted[k]] = p
+    done = 0
+    for row, k in enumerate(steps):
+        for step in range(done, k):
+            p = _literal_step(p, rates, dt)
+            defects[step] = 1.0 - (p[0] + p[1] + p[2] + p[3] + p[4] + p[5] + p[6])
+        done = k
+        probs[row] = p
 
-    trajectory = Trajectory(times=np.asarray(times, dtype=float), probs=probs, ids=model.ids)
+    trajectory = Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
     report = MassDefectReport(
         step_times=dt * np.arange(1, last + 1, dtype=float), defects=defects
     )
@@ -462,37 +489,33 @@ def solve_paper_literal(
 # public entry points
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-
-
 def _check_grid(grid: Sequence[float]) -> None:
-    previous = None
-    for t in grid:
-        _check_time(t)
-        if previous is not None and t <= previous:
+    for k, t in enumerate(grid):
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"time must be finite and >= 0, got {t!r}")
+        if k and t <= grid[k - 1]:
             raise ValueError("time grid must be strictly ascending")
-        previous = t
 
 
-def solve_at(model: MarkovModel, config: SolverConfig, t: float) -> np.ndarray:
-    """Distribution at a single time, by the configured method."""
-    _check_time(t)
-    if config.method is Method.PAPER_LITERAL:
-        trajectory, _ = solve_paper_literal(
-            model, SolverConfig(Method.PAPER_LITERAL, config.eps, config.dt, horizon=t)
-        )
-        return trajectory.probs[-1].copy()
-    gen = build_generator(model)
-    p0 = model.initial_vector()
-    if config.method is Method.UNIFORMIZATION:
-        return _solve_uniformization(gen, p0, [t], config.eps)[0]
-    if config.method is Method.MATRIX_EXP:
-        return _solve_matrix_exp(gen, p0, t)
-    if config.method is Method.EULER:
-        return _solve_euler(gen, p0, t, config.dt)
-    raise ValueError(f"unhandled method {config.method!r}")
+def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
+    """Step times 0, dt, 2 dt, ... up to the horizon (``config.horizon``,
+    else the model's, else six months), plus the horizon itself when it
+    is off the step lattice."""
+    horizon = config.horizon
+    if horizon is None:
+        horizon = model.horizon if model.horizon is not None else SIX_MONTHS_HOURS
+    _check_step_budget(horizon, config.dt)
+    steps, rem = _split_steps(horizon, config.dt)
+    return [k * config.dt for k in range(steps + 1)] + ([horizon] if rem > 0.0 else [])
+
+
+# each method maps (model, config, ascending grid) to one row per grid time
+_GRID_SOLVERS = {
+    Method.UNIFORMIZATION: _uniformization_rows,
+    Method.MATRIX_EXP: _expm_rows,
+    Method.EULER: _euler_rows,
+    Method.PAPER_LITERAL: lambda model, config, grid: solve_paper_literal(model, config, grid)[0].probs,
+}
 
 
 def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) -> Trajectory:
@@ -500,21 +523,14 @@ def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) 
     ``solve_at(model, config, grid[k])``."""
     grid = list(grid)
     _check_grid(grid)
-    if config.method is Method.PAPER_LITERAL:
-        trajectory, _ = solve_paper_literal(model, config, grid)
-        return trajectory
-    gen = build_generator(model)
-    p0 = model.initial_vector()
-    if config.method is Method.UNIFORMIZATION:
-        rows = _solve_uniformization(gen, p0, grid, config.eps)
-    elif config.method is Method.MATRIX_EXP:
-        rows = [_solve_matrix_exp(gen, p0, t) for t in grid]
-    elif config.method is Method.EULER:
-        rows = [_solve_euler(gen, p0, t, config.dt) for t in grid]
-    else:
-        raise ValueError(f"unhandled method {config.method!r}")
-    probs = np.vstack(rows) if rows else np.zeros((0, model.n))
+    probs = _GRID_SOLVERS[config.method](model, config, grid)
     return Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
+
+
+def solve_at(model: MarkovModel, config: SolverConfig, t: float) -> np.ndarray:
+    """Distribution at a single time, by the configured method: row 0 of
+    ``solve_grid(model, config, [t])``."""
+    return solve_grid(model, config, [t]).probs[0].copy()
 
 
 def solve_euler(model: MarkovModel, config: SolverConfig) -> Trajectory:
@@ -528,23 +544,6 @@ def solve_euler(model: MarkovModel, config: SolverConfig) -> Trajectory:
     stability guard its entries are nonnegative, so every iterate stays
     a proper distribution.
     """
-    gen = build_generator(model)
-    _euler_guard(gen, config.dt)
-    horizon = config.horizon
-    if horizon is None:
-        horizon = model.horizon if model.horizon is not None else SIX_MONTHS_HOURS
-    steps, rem = _split_steps(horizon, config.dt)
-    step_matrix = np.eye(gen.n) + gen.entries * config.dt
-    times = [0.0]
-    rows = [model.initial_vector().astype(float)]
-    p = rows[0]
-    for k in range(1, steps + 1):
-        p = p @ step_matrix
-        times.append(k * config.dt)
-        rows.append(p)
-    if rem > 0.0:
-        p = p @ (np.eye(gen.n) + gen.entries * rem)
-        times.append(horizon)
-        rows.append(p)
-    probs = np.vstack([_finalize(row) for row in rows])
+    times = _horizon_times(model, config)
+    probs = _euler_rows(model, config, times)
     return Trajectory(times=np.asarray(times, dtype=float), probs=probs, ids=model.ids)

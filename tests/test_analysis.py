@@ -264,3 +264,50 @@ class TestExportTimeseries:
         assert header[-1] == "mass_defect"
         assert rows[0][-1] == 0.0
         assert rows[1][-1] == pytest.approx(2.64e-6, rel=1e-6)
+
+    def test_mass_defect_column_is_the_callable_verbatim(self, dfwcs):
+        cfg = SolverConfig(Method.PAPER_LITERAL, dt=1.0)
+        traj, _ = depmark.solve_paper_literal(dfwcs, cfg, grid=[0.0, 1.0, 7.0, 100.0])
+        defect = lambda k: 1.0 - float(traj.probs[k].sum())  # noqa: E731
+        _, plain = export_timeseries(traj, dfwcs)
+        _, rows = export_timeseries(traj, dfwcs, mass_defect=defect)
+        assert [row[:-1] for row in rows] == plain
+        assert [row[-1] for row in rows] == [defect(k) for k in range(len(traj))]
+
+    # two states in every class, with mass spread over all of them, so
+    # the per-class sums really add several entries
+    MULTI = (
+        'state 1 "a" class = operational;\n'
+        'state 2 "b" class = operational;\n'
+        'state 3 "c" class = fail_operational;\n'
+        'state 4 "d" class = fail_operational;\n'
+        'state 5 "e" class = fail_safe;\n'
+        'state 6 "f" class = fail_safe;\n'
+        'state 7 "g" class = fail_unsafe;\n'
+        'state 8 "h" class = fail_unsafe;\n'
+        "trans 1 -> 2 rate = 0.3;\n"
+        "trans 2 -> 3 rate = 0.2;\n"
+        "trans 3 -> 4 rate = 0.7;\n"
+        "trans 4 -> 1 rate = 0.1;\n"
+        "trans 1 -> 5 rate = 0.05;\n"
+        "trans 3 -> 6 rate = 0.11;\n"
+        "trans 2 -> 7 rate = 0.013;\n"
+        "trans 4 -> 8 rate = 0.07;\n"
+    )
+
+    @pytest.mark.parametrize("which", ["dfwcs", "multi"])
+    def test_metric_columns_equal_metrics(self, dfwcs, which):
+        model = dfwcs if which == "dfwcs" else depmark.parse(self.MULTI)
+        grid = [0.0, 0.5, 3.0, 17.0, 250.0] if which == "multi" else [0.0, 10.0, 1000.0, 4380.0]
+        traj = solve_grid(model, SolverConfig(), grid)
+        _, rows = export_timeseries(traj, model)
+        for k, row in enumerate(rows):
+            m = metrics(traj.probs[k], model, traj.times[k])
+            assert row[-4:] == [m.reliability, m.safety, m.prob_fail_safe, m.prob_fail_unsafe]
+            assert row[-3] == row[-4] + row[-2]  # S == R + Pfs exactly
+            assert row[0] == m.t and row[1:-4] == traj.probs[k].tolist()
+
+    def test_empty_trajectory(self, dfwcs):
+        traj = solve_grid(dfwcs, SolverConfig(), [])
+        assert export_timeseries(traj, dfwcs)[1] == []
+        assert export_timeseries(traj, dfwcs, mass_defect=lambda k: 0.0)[1] == []

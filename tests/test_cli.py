@@ -157,6 +157,15 @@ class TestSolve:
         assert code == 3
         assert "dt" in err
 
+    def test_euler_step_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(depmark.solve, "EULER_STEP_CAP", 10)
+        code, _, _ = run(capsys, "solve", DFWCS, "--at", "10", "--method", "euler", "--dt", "1")
+        assert code == 0
+        for method in ("euler", "paper-literal"):
+            code, _, err = run(capsys, "solve", DFWCS, "--at", "11", "--method", method, "--dt", "1")
+            assert code == 3
+            assert "steps" in err
+
     def test_set_domain_error_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", DFWCS, "--at", "10", "--set", "C=1.5")
         assert code == 1

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 import oracle_expm
 import depmark
+import depmark.solve as solve_module
+from conftest import REPO_ROOT
 from depmark import (
     MarkovModel,
     Method,
@@ -199,6 +204,108 @@ class TestEuler:
         ref = solve_at(dfwcs, UNI, 400.0)
         p = solve_at(dfwcs, SolverConfig(Method.EULER, dt=0.1), 400.0)
         assert np.max(np.abs(p - ref)) <= 1e-6
+
+
+class TestGridPaths:
+    """Grid solves share work across times (one power block, one march);
+    every row must still equal the pointwise solve bit for bit."""
+
+    @staticmethod
+    def _euler_loop(model, t, dt):
+        # the step-by-step march from 0 to t, kept as the reference
+        q = build_generator(model).entries
+        whole = int(t // dt)
+        rem = t - whole * dt
+        p = model.initial_vector()
+        for _ in range(whole):
+            p = p @ (np.eye(model.n) + q * dt)
+        if rem > 0.0:
+            p = p @ (np.eye(model.n) + q * rem)
+        return np.clip(p, 0.0, 1.0)
+
+    @staticmethod
+    def _uniformization_loop(model, t, eps):
+        # term-by-term accumulation of the Poisson-weighted powers
+        q = build_generator(model).entries
+        rate = float(np.max(np.abs(np.diag(q))))
+        lo, weights = solve_module._poisson_window(rate * t, eps)
+        stoch = np.eye(model.n) + q / rate
+        power = model.initial_vector()
+        for _ in range(lo):
+            power = power @ stoch
+        acc = np.zeros(model.n)
+        for w in weights:
+            acc += w * power
+            power = power @ stoch
+        return np.clip(acc, 0.0, 1.0)
+
+    def test_euler_grid_with_remainder_steps(self, dfwcs):
+        # 0.3 and 2.7 are off the dt = 0.5 lattice: their remainder steps
+        # must not leak into the rows after them
+        cfg = SolverConfig(Method.EULER, dt=0.5)
+        grid = [0.0, 0.3, 1.0, 2.7, 4.0]
+        traj = solve_grid(dfwcs, cfg, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, cfg, t))
+            assert np.array_equal(traj.probs[k], self._euler_loop(dfwcs, t, 0.5))
+
+    def test_uniformization_power_block_growth(self, dfwcs):
+        # L*t is about 0.03, 1.4 and 122: each window reaches past the
+        # power block built for the times before it, so the block grows
+        grid = [0.0, 1.0, 50.0, 4380.0]
+        traj = solve_grid(dfwcs, UNI, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, t))
+        for k, t in enumerate(grid[1:], start=1):
+            assert np.array_equal(traj.probs[k], self._uniformization_loop(dfwcs, t, UNI.eps))
+
+    def test_time_zero_grid_every_method(self, dfwcs):
+        for method in Method:
+            traj = solve_grid(dfwcs, SolverConfig(method, dt=0.5), [0.0])
+            assert np.array_equal(traj.probs, [dfwcs.initial_vector()])
+
+    def test_uniformization_does_not_import_scipy(self):
+        code = (
+            "import sys, depmark\n"
+            "m = depmark.load_model(depmark.bundled_model_path('dfwcs.mdl'))\n"
+            "depmark.solve_at(m, depmark.SolverConfig(), 4380.0)\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+        )
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+class TestStepCap:
+    @pytest.fixture(autouse=True)
+    def cap_at_ten(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "EULER_STEP_CAP", 10)
+
+    def test_euler_boundary(self, dfwcs):
+        cfg = SolverConfig(Method.EULER, dt=1.0)
+        solve_at(dfwcs, cfg, 10.0)
+        solve_grid(dfwcs, cfg, [0.0, 9.5, 10.0])
+        assert len(solve_euler(dfwcs, dataclasses.replace(cfg, horizon=10.0))) == 11
+        # a remainder step counts as a step
+        for t in (11.0, 10.5):
+            with pytest.raises(NumericFailureError):
+                solve_at(dfwcs, cfg, t)
+        with pytest.raises(NumericFailureError):
+            solve_grid(dfwcs, cfg, [0.0, 11.0])
+        with pytest.raises(NumericFailureError):
+            solve_euler(dfwcs, dataclasses.replace(cfg, horizon=10.5))
+
+    def test_literal_boundary(self, dfwcs):
+        cfg = SolverConfig(Method.PAPER_LITERAL, dt=1.0)
+        traj, report = solve_paper_literal(dfwcs, dataclasses.replace(cfg, horizon=10.0))
+        assert len(traj) == 11 and len(report.defects) == 10
+        solve_at(dfwcs, cfg, 10.0)
+        with pytest.raises(NumericFailureError):
+            solve_paper_literal(dfwcs, dataclasses.replace(cfg, horizon=11.0))
+        with pytest.raises(NumericFailureError):
+            solve_paper_literal(dfwcs, cfg, grid=[0.0, 11.0])
+        with pytest.raises(NumericFailureError):
+            solve_at(dfwcs, cfg, 11.0)
 
 
 class TestPaperLiteral:
