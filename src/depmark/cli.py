@@ -59,6 +59,12 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+#: Most points one ``--grid`` may expand to, checked before expanding;
+#: a million rows already make ~10^7 Python floats of CSV export.
+GRID_POINT_CAP = 1_000_000
+#: Most Monte Carlo trials one ``simulate`` may ask for.
+TRIAL_CAP = 1_000_000_000
+
 _AUDIT_COLUMNS = ("param", "R", "S", "Pfs", "Pfu")
 
 
@@ -91,7 +97,8 @@ def _parse_grid(text: str) -> list[float]:
 
     The stop point is included when it is a whole number of steps from
     the start (to one part in 10^9); otherwise the grid ends at the last
-    aligned point below it.
+    aligned point below it.  A grid of more than ``GRID_POINT_CAP``
+    points is refused before any point is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -108,8 +115,12 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--grid step must be positive, got {step!r}")
     if stop < start:
         raise ValueError(f"--grid stop {stop!r} is below start {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + k * step for k in range(count + 1)]
+    span = (stop - start) / step + 1e-9
+    if span >= GRID_POINT_CAP:
+        raise ValueError(
+            f"--grid {text} has more than {GRID_POINT_CAP} points, beyond the cap"
+        )
+    return [start + k * step for k in range(math.floor(span) + 1)]
 
 
 def _parse_values(text: str) -> list[float]:
@@ -283,8 +294,8 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     status = _fatal_report(model, err)
     if status != EXIT_OK:
         return status
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= TRIAL_CAP:
+        raise ValueError(f"--trials must be in [1, {TRIAL_CAP}], got {args.trials}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
 

@@ -21,9 +21,13 @@ Four methods:
   is defined only for models with exactly that seven-state shape.
 
 A grid solve does the work once for all its times: one shared block of
-uniformization powers, one Euler or literal march.  ``solve_at`` is row 0
-of a one-point grid.  Only ``MATRIX_EXP`` imports SciPy.  Runaway work
-(``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a NumericFailureError.
+uniformization powers, one Euler or literal march.  The power block is
+sized by the widest Poisson window (the last time's), rounded up to a power
+of two, and filled by doubling in ceil(log2(end)) matrix products; the
+block's rows are bounded by ``UNIFORMIZATION_TERM_CAP``.  ``solve_at`` is
+row 0 of a one-point grid.  Only ``MATRIX_EXP`` imports SciPy.  Runaway
+work (``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a
+NumericFailureError.
 """
 
 from __future__ import annotations
@@ -145,8 +149,8 @@ class MassDefectReport:
 # --------------------------------------------------------------------------
 # uniformization
 
-#: Hard cap on the number of matrix-vector terms in one uniformization
-#: series; beyond this the solve is refused rather than left to crawl.
+#: Hard cap on the rows of the uniformization power block (a power of two
+#: at least as long as the widest series), checked before allocating it.
 UNIFORMIZATION_TERM_CAP = 10_000_000
 #: Hard cap on the steps of one Euler or literal march (a remainder step
 #: counts as one), checked before any stepping or allocation.
@@ -205,6 +209,27 @@ def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
     return lo, below + [w_mode] + above
 
 
+def _power_block(p0: np.ndarray, stoch: np.ndarray, end: int) -> np.ndarray:
+    """Rows p0 stoch^k for k below the power of two >= ``end``, by doubling:
+    rows [m, 2m) are rows [0, m) times stoch^m.  Every level has the same
+    shape whatever ``end`` is, so row k depends on k alone."""
+    size = 1 << (end - 1).bit_length()
+    if size > UNIFORMIZATION_TERM_CAP:
+        raise NumericFailureError(
+            f"uniformization needs a block of {size} powers for {end} series terms, "
+            f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
+        )
+    powers = np.empty((size, len(p0)))
+    powers[0] = p0
+    jump = stoch
+    m = 1
+    while m < size:
+        np.matmul(powers[:m], jump, out=powers[m:2 * m])
+        jump = jump @ jump
+        m *= 2
+    return powers
+
+
 def _uniformization_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
     gen = build_generator(model)
     p0 = model.initial_vector()
@@ -212,34 +237,30 @@ def _uniformization_rows(model: MarkovModel, config: SolverConfig, grid: list[fl
     if rate == 0.0:
         return np.tile(p0, (len(grid), 1))
 
-    # rough a-priori cap check so absurd horizons fail fast
+    # every window ends past floor(L*t), so absurd horizons fail here,
+    # before _poisson_window walks their series
     q_max = rate * max(grid, default=0.0)
-    if q_max + 12.0 * math.sqrt(q_max + 1.0) + 20.0 > UNIFORMIZATION_TERM_CAP:
+    if q_max >= UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
-            f"uniformization would need ~{q_max:.3g} terms for L*t = {q_max:.3g}, "
+            f"uniformization would need more than {q_max:.3g} terms for L*t = {q_max:.3g}, "
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
 
-    # powers[k] = p0 (I + Q/L)^k, shared by every time; rows [0, filled)
-    # are computed, and the block doubles when a window reaches past it
+    # one block of powers p0 (I + Q/L)^k serves every time; walking the
+    # grid backwards sizes it by the widest window, the last time's (an
+    # earlier window that rounding makes longer gets a larger block)
     out = np.empty((len(grid), gen.n))
     stoch = np.eye(gen.n) + gen.entries / rate
-    powers = p0[np.newaxis, :].copy()
-    filled = 1
-    for row, t in enumerate(grid):
-        qt = rate * t
+    powers = np.empty((0, gen.n))
+    for row in reversed(range(len(grid))):
+        qt = rate * grid[row]
         if qt == 0.0:
             out[row] = p0
             continue
         lo, weights = _poisson_window(qt, config.eps)
         end = lo + len(weights)
         if end > len(powers):
-            grown = np.empty((max(end, 2 * len(powers)), gen.n))
-            grown[:filled] = powers[:filled]
-            powers = grown
-        for prev, cur in zip(powers[filled - 1:end - 1], powers[filled:end]):
-            np.matmul(prev, stoch, out=cur)
-        filled = max(filled, end)
+            powers = _power_block(p0, stoch, end)
         # summed in term order, not by BLAS, whose order varies by build
         terms = np.array(weights)[:, np.newaxis] * powers[lo:end]
         out[row] = _finalize(terms.sum(axis=0))

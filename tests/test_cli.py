@@ -166,6 +166,25 @@ class TestSolve:
             assert code == 3
             assert "steps" in err
 
+    def test_term_cap_exits_3(self, capsys, monkeypatch):
+        # toy L = 0.5: t = 43 needs a 64-row power block, t = 44 one of 128
+        monkeypatch.setattr(depmark.solve, "UNIFORMIZATION_TERM_CAP", 64)
+        code, _, _ = run(capsys, "solve", TOY, "--at", "43")
+        assert code == 0
+        code, _, err = run(capsys, "solve", TOY, "--at", "44")
+        assert code == 3
+        assert "cap" in err
+
+    def test_grid_point_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(depmark.cli, "GRID_POINT_CAP", 5)
+        code, out, _ = run(capsys, "solve", TOY, "--grid", "0:4:1")
+        assert code == 0
+        assert len(data_rows(out)) == 5
+        for grid in ("0:5:1", "0:4.5:0.5", "0:1e308:1e-300"):
+            code, _, err = run(capsys, "solve", TOY, "--grid", grid)
+            assert code == 2
+            assert "cap" in err
+
     def test_set_domain_error_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", DFWCS, "--at", "10", "--set", "C=1.5")
         assert code == 1
@@ -252,6 +271,15 @@ class TestSimulate:
     def test_bad_trials_exits_2(self, capsys):
         code, _, _ = run(capsys, "simulate", TOY, "--at", "2", "--trials", "0")
         assert code == 2
+
+    def test_trial_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(depmark.cli, "TRIAL_CAP", 10)
+        code, out, _ = run(capsys, "simulate", TOY, "--at", "2", "--trials", "10")
+        assert code == 0
+        assert sum(int(r["count"]) for r in data_rows(out)) == 10
+        code, _, err = run(capsys, "simulate", TOY, "--at", "2", "--trials", "11")
+        assert code == 2
+        assert "--trials" in err
 
 
 class TestAudit:

@@ -1,10 +1,13 @@
 """Model language: lexing, parsing, error recovery, canonical output."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import depmark
+from conftest import REPO_ROOT
 from depmark import (
     Constant,
     ModelParseError,
@@ -123,6 +126,31 @@ class TestBundledModels:
             assert (repo / "models" / name).read_bytes() == bundled
         bundled = depmark.bundled_table_path("table3.csv").read_bytes()
         assert (repo / "tables" / "table3.csv").read_bytes() == bundled
+
+    def test_repo_data_directories_mirror_the_package(self):
+        # the README and the CLI tour use the root paths, so each root data
+        # file keeps exactly one packaged twin, byte for byte
+        for sub, pattern in (("models", "*.mdl"), ("tables", "*.csv")):
+            root = sorted((REPO_ROOT / sub).glob(pattern))
+            packaged = sorted((REPO_ROOT / "src" / "depmark" / sub).glob(pattern))
+            assert [f.name for f in root] == [f.name for f in packaged]
+            assert root, f"no {pattern} under {sub}/"
+            for a, b in zip(root, packaged):
+                assert a.read_bytes() == b.read_bytes(), a.name
+
+
+class TestReadme:
+    def test_model_examples_parse(self):
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = [
+            block for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+            if re.search(r"^state\s", block, re.M)
+        ]
+        assert len(blocks) >= 2
+        for block in blocks:
+            model = parse(block)
+            assert not depmark.validate(model).fatal
+            assert parse(serialize(model)) == model
 
 
 # ---------------------------------------------------------------------------

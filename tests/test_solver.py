@@ -225,7 +225,24 @@ class TestGridPaths:
 
     @staticmethod
     def _uniformization_loop(model, t, eps):
-        # term-by-term accumulation of the Poisson-weighted powers
+        # the doubling recipe step by step: rows [m, 2m) of the powers are
+        # rows [0, m) times stoch^m, then the weighted terms summed in order
+        q = build_generator(model).entries
+        rate = float(np.max(np.abs(np.diag(q))))
+        lo, weights = solve_module._poisson_window(rate * t, eps)
+        jump = np.eye(model.n) + q / rate
+        powers = model.initial_vector()[np.newaxis, :]
+        while len(powers) < lo + len(weights):
+            powers = np.concatenate([powers, powers @ jump])
+            jump = jump @ jump
+        acc = np.zeros(model.n)
+        for w, power in zip(weights, powers[lo:]):
+            acc += w * power
+        return np.clip(acc, 0.0, 1.0)
+
+    @staticmethod
+    def _uniformization_sequential(model, t, eps):
+        # term-by-term accumulation of the powers made one step at a time
         q = build_generator(model).entries
         rate = float(np.max(np.abs(np.diag(q))))
         lo, weights = solve_module._poisson_window(rate * t, eps)
@@ -250,14 +267,55 @@ class TestGridPaths:
             assert np.array_equal(traj.probs[k], self._euler_loop(dfwcs, t, 0.5))
 
     def test_uniformization_power_block_growth(self, dfwcs):
-        # L*t is about 0.03, 1.4 and 122: each window reaches past the
-        # power block built for the times before it, so the block grows
+        # L*t is about 0.03, 1.4 and 122: the shorter windows read the
+        # block sized for the last time
         grid = [0.0, 1.0, 50.0, 4380.0]
         traj = solve_grid(dfwcs, UNI, grid)
         for k, t in enumerate(grid):
             assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, t))
         for k, t in enumerate(grid[1:], start=1):
             assert np.array_equal(traj.probs[k], self._uniformization_loop(dfwcs, t, UNI.eps))
+
+    def test_uniformization_drift_from_sequential_powers(self, dfwcs):
+        # doubling forms the powers in another order than one step at a
+        # time; the rows may differ only at the level of rounding
+        grid = [1.0, 50.0, 4380.0]
+        traj = solve_grid(dfwcs, UNI, grid)
+        for k, t in enumerate(grid):
+            ref = self._uniformization_sequential(dfwcs, t, UNI.eps)
+            assert np.max(np.abs(traj.probs[k] - ref)) <= 1e-14
+
+    def test_uniformization_stiff_chain(self, dfwcs):
+        # MU = 6 puts L*t near 5.3e4 at six months
+        stiff = dfwcs.with_params({"MU": 6.0})
+        q = build_generator(stiff).entries
+        ref = oracle_expm.transient_distribution(q, stiff.initial_vector(), 4380.0)
+        assert np.max(np.abs(solve_at(stiff, UNI, 4380.0) - ref)) <= 1e-10
+        # both windows end in (2^15, 2^16], so both rows read one block
+        # of the same size whether solved together or apart
+        rate = float(np.max(np.abs(np.diag(q))))
+        grid = [4000.0, 4380.0]
+        for t in grid:
+            lo, weights = solve_module._poisson_window(rate * t, UNI.eps)
+            assert 2**15 < lo + len(weights) <= 2**16
+        traj = solve_grid(stiff, UNI, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.probs[k], solve_at(stiff, UNI, t))
+
+    def test_uniformization_wider_earlier_window(self, dfwcs, monkeypatch):
+        # a window ending past the block sized for the last time (possible
+        # only through rounding in the window bounds) gets a larger block
+        window = solve_module._poisson_window
+
+        def padded(q, eps):
+            lo, weights = window(q, eps)
+            return (lo, weights + [0.0] * 300) if q < 1.0 else (lo, weights)
+
+        monkeypatch.setattr(solve_module, "_poisson_window", padded)
+        grid = [1.0, 4380.0]
+        traj = solve_grid(dfwcs, UNI, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, t))
 
     def test_time_zero_grid_every_method(self, dfwcs):
         for method in Method:
@@ -306,6 +364,25 @@ class TestStepCap:
             solve_paper_literal(dfwcs, cfg, grid=[0.0, 11.0])
         with pytest.raises(NumericFailureError):
             solve_at(dfwcs, cfg, 11.0)
+
+
+class TestTermCap:
+    @pytest.fixture(autouse=True)
+    def cap_at_64(self, monkeypatch):
+        monkeypatch.setattr(solve_module, "UNIFORMIZATION_TERM_CAP", 64)
+
+    def test_power_block_boundary(self, toy):
+        # toy L = 0.5: the window at t = 43 ends at term 64, a 64-row
+        # block; at t = 44 it ends at 65, which needs 128 rows
+        for t, end in ((43.0, 64), (44.0, 65)):
+            lo, weights = solve_module._poisson_window(0.5 * t, UNI.eps)
+            assert lo + len(weights) == end
+        solve_at(toy, UNI, 43.0)
+        solve_grid(toy, UNI, [0.0, 10.0, 43.0])
+        with pytest.raises(NumericFailureError):
+            solve_at(toy, UNI, 44.0)
+        with pytest.raises(NumericFailureError):
+            solve_grid(toy, UNI, [0.0, 44.0])
 
 
 class TestPaperLiteral:
