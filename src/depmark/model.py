@@ -418,18 +418,18 @@ def build_generator(model: MarkovModel) -> GeneratorMatrix:
     diagonal and are flagged by :func:`validate`).
     """
     n = model.n
+    try:
+        entries = [
+            (model.index_of(tr.source), model.index_of(tr.target), evaluate_rate(tr.rate, model.params))
+            for tr in model.transitions
+        ]
+    except KeyError as err:
+        raise DepmarkError(f"transition references a missing state: {err}") from None
     q = np.zeros((n, n))
-    for tr in model.transitions:
-        try:
-            i = model.index_of(tr.source)
-            j = model.index_of(tr.target)
-        except KeyError as err:
-            raise DepmarkError(f"transition references a missing state: {err}") from None
-        rate = evaluate_rate(tr.rate, model.params)
+    for i, j, rate in entries:
         if i != j:
             q[i, j] += rate
-    for i in range(n):
-        q[i, i] = -(q[i].sum() - q[i, i])
+    q[np.diag_indices(n)] = -q.sum(axis=1)
     return GeneratorMatrix(ids=model.ids, entries=q)
 
 

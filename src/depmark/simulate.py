@@ -16,7 +16,10 @@ batches of 65536 and every batch gets its own generator keyed by
 seed alone and does not depend on how the batches are executed.  Only
 uniform doubles are ever drawn; exponentials come from the inverse
 transform -log1p(-u)/rate and categorical picks from cumulative-table
-lookup, which keeps the draw count per trajectory round explicit.
+lookup, which keeps the draw count per trajectory round explicit.  A
+batch still running after ``JUMP_ROUND_CAP`` rounds is refused with a
+NumericFailureError; the check draws nothing, so the counts of a run
+under the cap do not depend on it.
 """
 
 from __future__ import annotations
@@ -27,11 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MarkovModel, build_generator
+from .solve import NumericFailureError
 
 __all__ = ["BATCH_SIZE", "Z99", "SimulationResult", "simulate"]
 
 #: Trials per Philox key; the last batch of a run may be smaller.
 BATCH_SIZE = 65536
+
+#: Hard cap on the jump rounds of one batch (a round moves every trial
+#: still running by one holding time and one jump).  The published
+#: coverages at six months take at most 7; a chain that keeps cycling
+#: until the mission time ends is refused instead of running unbounded.
+JUMP_ROUND_CAP = 10_000
 
 #: Two-sided 99% normal quantile (Phi^-1 of 0.995).
 Z99 = 2.5758293035489004
@@ -108,7 +118,13 @@ def _run_batch(
     final = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
 
+    rounds = 0
     while active.size:
+        rounds += 1
+        if rounds > JUMP_ROUND_CAP:
+            raise NumericFailureError(
+                f"simulation to t = {t:g} is still jumping after {JUMP_ROUND_CAP} rounds"
+            )
         rates = exit_rates[state[active]]
         absorbing = rates <= 0.0
         if absorbing.any():

@@ -20,14 +20,20 @@ Four methods:
   a :class:`MassDefectReport` instead of being patched over.  The mode
   is defined only for models with exactly that seven-state shape.
 
-A grid solve does the work once for all its times: one shared block of
-uniformization powers, one Euler or literal march.  The power block is
-sized by the widest Poisson window (the last time's), rounded up to a power
-of two, and filled by doubling in ceil(log2(end)) matrix products; the
-block's rows are bounded by ``UNIFORMIZATION_TERM_CAP``.  ``solve_at`` is
-row 0 of a one-point grid.  Only ``MATRIX_EXP`` imports SciPy.  Runaway
-work (``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a
-NumericFailureError.
+A grid solve works on whole arrays.  Uniformization computes the Poisson
+windows of many times at once (each anchored at its mode and extended by
+a cumulative product along the term axis), reads them against one shared
+block of powers p0 (I + Q/L)^k, and sums each chunk of rows as a
+(terms, rows, n) block over the terms, in term order.  The block is sized
+by the widest window (the last time's), rounded up to a power of two, and
+filled by doubling in ceil(log2(end)) matrix products; its rows are
+bounded by ``UNIFORMIZATION_TERM_CAP``.  ``MATRIX_EXP`` exponentiates
+stacks of times; Euler and the literal mode march once.  ``solve_at`` is
+row 0 of a one-point grid, and every grid row equals it bit for bit: a
+power, a window or an exponential never depends on the other grid times,
+and the zero weights that pad a window add exact zeros.  Only
+``MATRIX_EXP`` imports SciPy.  Runaway work (``UNIFORMIZATION_TERM_CAP``,
+``EULER_STEP_CAP``) is a NumericFailureError.
 """
 
 from __future__ import annotations
@@ -157,56 +163,92 @@ UNIFORMIZATION_TERM_CAP = 10_000_000
 EULER_STEP_CAP = 1_000_000
 
 _BAND = 1e-9  # tolerated numeric undershoot before clamping
+#: Floats in the (terms, rows, n) block of weighted powers that one chunk
+#: of a uniformization grid sums.
+_CHUNK_FLOATS = 1 << 14
+#: Times per stack of matrix exponentials: scipy takes them one by one, so
+#: a longer stack saves no work, only per-call overhead.
+_EXPM_ROWS = 64
 
 
-def _finalize(vec: np.ndarray) -> np.ndarray:
-    if float(vec.min(initial=0.0)) < -_BAND or float(vec.max(initial=0.0)) > 1.0 + _BAND:
-        raise NumericFailureError(f"probability vector left [0, 1] beyond tolerance: {vec!r}")
-    return np.clip(vec, 0.0, 1.0)
+def _finalize(probs: np.ndarray) -> np.ndarray:
+    """Clamp the rounding noise of a distribution, or of a block of them,
+    into [0, 1] in place; anything beyond ``_BAND`` is a
+    NumericFailureError."""
+    if float(probs.min(initial=0.0)) < -_BAND or float(probs.max(initial=0.0)) > 1.0 + _BAND:
+        raise NumericFailureError(f"probability vector left [0, 1] beyond tolerance: {probs!r}")
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson(q) windows for many q > 0 at once, each covering all but
+    < eps of its mass.
+
+    Returns (first, end, weights): weights[r, c] = e^-q q^k / k! for
+    k = first[r] + c inside row r's window, which ends before term end[r],
+    and 0 outside it.  A single row has no padding: first is where its
+    window starts.  Each window is anchored at the mode and extended both
+    ways by the weight recurrence, taken as a cumulative product along the
+    term axis; the geometric tail bounds keep the neglected mass under
+    eps/2 per side.  A row's bits do not depend on the other rows.
+    """
+    q_list = qs.tolist()
+    qs = qs[:, np.newaxis]
+    modes = np.floor(qs)
+    # column c stands for term k = mode - span + c; its step is the factor
+    # that makes the weight of term k from its neighbour's nearer the mode:
+    # (k + 1) / q below the mode, q / k above it.  The mode's weight comes
+    # from math, row by row: numpy's vector exp and log may round
+    # differently for different batch lengths.
+    w_mode = [math.exp(m * math.log(q) - q - math.lgamma(m + 1)) for q in q_list for m in (math.floor(q),)]
+    span = 16 + int(8.0 * math.sqrt(max(q_list)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            ks = modes + np.arange(-span, span + 2)
+            steps = np.empty_like(ks)
+            np.divide(ks[:, 1:span + 1], qs, out=steps[:, :span])
+            steps[:, span] = w_mode
+            np.divide(qs, ks[:, span + 1:], out=steps[:, span + 1:])
+            weights = np.empty_like(steps)
+            np.multiply.accumulate(steps[:, span::-1], axis=1, out=weights[:, span::-1])
+            np.multiply.accumulate(steps[:, span:], axis=1, out=weights[:, span:])
+            # a window stops before the first term whose tail, bounded by a
+            # geometric series in the next step, is under eps/4.  Below the
+            # mode that step is the term's own (k + 1) / q: at most 1, so an
+            # integer mode divides by 0 and never stops there, and 0 past
+            # term 0, which always stops.  Beyond that, overflow and NaN
+            # fill columns no window reaches.
+            ratio = 1.0 - steps
+            below = weights[:, span - 1::-1] / ratio[:, span - 1::-1] < eps / 4.0
+            above = weights[:, span + 1:-1] / ratio[:, span + 2:] < eps / 4.0
+            # the last column stands in for a stop beyond the span: widen then
+            below[:, -1] = above[:, -1] = True
+            n_below = below.argmax(axis=1)
+            n_above = above.argmax(axis=1)
+            widest_below, widest_above = max(n_below.tolist()), max(n_above.tolist())
+            if max(widest_below, widest_above) < span - 1:
+                break
+            if span > UNIFORMIZATION_TERM_CAP:
+                raise NumericFailureError(
+                    f"uniformization series for L*t = {max(q_list):g} does not truncate within "
+                    f"{UNIFORMIZATION_TERM_CAP} terms at eps = {eps:g}"
+                )
+            span = min(2 * span, UNIFORMIZATION_TERM_CAP + 1)
+    # keep the columns some window spans, and zero each row outside its
+    # own (a single row spans exactly its own)
+    weights = weights[:, span - widest_below:span + widest_above + 1]
+    if len(q_list) > 1:
+        cols = np.arange(-widest_below, widest_above + 1)
+        weights[(cols < -n_below[:, np.newaxis]) | (cols > n_above[:, np.newaxis])] = 0.0
+    mode_terms = modes[:, 0].astype(int)
+    return mode_terms - widest_below, mode_terms + n_above + 1, weights
 
 
 def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
-    """Poisson(q) weights covering all but < eps of the mass.
-
-    Returns (lo, weights) with weights[k - lo] = e^-q q^k / k!.  Anchored
-    at the mode and extended by the two-sided recurrence; the geometric
-    tail bounds keep the neglected mass under eps/2 per side.
-    """
-    mode = int(math.floor(q))
-    log_wm = mode * math.log(q) - q - math.lgamma(mode + 1)
-    w_mode = math.exp(log_wm)
-
-    below: list[float] = []
-    w = w_mode
-    k = mode
-    while k > 0:
-        ratio = k / q
-        if ratio < 1.0 and w * ratio / (1.0 - ratio) < eps / 4.0:
-            break
-        w = w * ratio
-        below.append(w)
-        k -= 1
-    lo = k
-
-    above: list[float] = []
-    w = w_mode
-    k = mode
-    while True:
-        w_next = w * q / (k + 1)
-        s = q / (k + 2)
-        if s < 1.0 and w_next / (1.0 - s) < eps / 4.0:
-            break
-        k += 1
-        if k - mode > UNIFORMIZATION_TERM_CAP:
-            raise NumericFailureError(
-                f"uniformization series for L*t = {q:g} does not truncate within "
-                f"{UNIFORMIZATION_TERM_CAP} terms at eps = {eps:g}"
-            )
-        w = w_next
-        above.append(w)
-
-    below.reverse()
-    return lo, below + [w_mode] + above
+    """One row of :func:`_poisson_windows`: (lo, weights) with
+    weights[k - lo] = e^-q q^k / k! over the window."""
+    lo, _, weights = _poisson_windows(np.array([q], dtype=float), eps)
+    return int(lo[0]), weights[0].tolist()
 
 
 def _power_block(p0: np.ndarray, stoch: np.ndarray, end: int) -> np.ndarray:
@@ -233,37 +275,45 @@ def _power_block(p0: np.ndarray, stoch: np.ndarray, end: int) -> np.ndarray:
 def _uniformization_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
     gen = build_generator(model)
     p0 = model.initial_vector()
-    rate = float(np.max(np.abs(np.diag(gen.entries))))
+    rate = -float(gen.entries.diagonal().min())  # max |Q_ii|: the diagonal is <= 0
     if rate == 0.0:
         return np.tile(p0, (len(grid), 1))
 
     # every window ends past floor(L*t), so absurd horizons fail here,
-    # before _poisson_window walks their series
-    q_max = rate * max(grid, default=0.0)
+    # before _poisson_windows walks their series
+    qs = rate * np.asarray(grid, dtype=float)
+    q_max = float(qs[-1]) if len(qs) else 0.0
     if q_max >= UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
             f"uniformization would need more than {q_max:.3g} terms for L*t = {q_max:.3g}, "
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
 
-    # one block of powers p0 (I + Q/L)^k serves every time; walking the
-    # grid backwards sizes it by the widest window, the last time's (an
-    # earlier window that rounding makes longer gets a larger block)
+    # one block of powers p0 (I + Q/L)^k serves every time.  Rows are taken
+    # from the end in chunks: the first chunk, the last time alone, sizes
+    # the block by the widest window; each later chunk is sized so that
+    # its weighted block holds about _CHUNK_FLOATS floats, and rebuilds the
+    # block if rounding makes a window end past it.  L*t is 0 only at the
+    # start of the grid.
     out = np.empty((len(grid), gen.n))
+    zeros = int(np.count_nonzero(qs == 0.0))
+    out[:zeros] = p0
     stoch = np.eye(gen.n) + gen.entries / rate
     powers = np.empty((0, gen.n))
-    for row in reversed(range(len(grid))):
-        qt = rate * grid[row]
-        if qt == 0.0:
-            out[row] = p0
-            continue
-        lo, weights = _poisson_window(qt, config.eps)
-        end = lo + len(weights)
-        if end > len(powers):
-            powers = _power_block(p0, stoch, end)
-        # summed in term order, not by BLAS, whose order varies by build
-        terms = np.array(weights)[:, np.newaxis] * powers[lo:end]
-        out[row] = _finalize(terms.sum(axis=0))
+    stop, rows = len(grid), 1
+    while stop > zeros:
+        start = max(zeros, stop - rows)
+        first, end, weights = _poisson_windows(qs[start:stop], config.eps)
+        need = max(end.tolist())
+        if need > len(powers):
+            powers = _power_block(p0, stoch, need)
+        # (terms, rows, n), summed over the terms in order, not by BLAS,
+        # whose order varies by build; zero weights pad the windows
+        terms = powers.take(first + np.arange(weights.shape[1])[:, np.newaxis], axis=0, mode="clip")
+        terms *= weights.T[:, :, np.newaxis]
+        out[start:stop] = terms.sum(axis=0)
+        stop, rows = start, max(1, _CHUNK_FLOATS // (weights.shape[1] * gen.n))
+    _finalize(out[zeros:])
     return out
 
 
@@ -276,10 +326,13 @@ def _expm_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> n
 
     q = build_generator(model).entries
     p0 = model.initial_vector()
+    times = np.asarray(grid, dtype=float)[:, np.newaxis, np.newaxis]
     out = np.empty((len(grid), model.n))
-    for row, t in enumerate(grid):
-        out[row] = _finalize(p0 @ scipy.linalg.expm(q * t))
-    return out
+    # scipy exponentiates a stack slice by slice, as it would one matrix
+    for start in range(0, len(grid), _EXPM_ROWS):
+        rows = slice(start, start + _EXPM_ROWS)
+        np.matmul(p0, scipy.linalg.expm(q * times[rows]), out=out[rows])
+    return _finalize(out)
 
 
 def _euler_guard(gen: GeneratorMatrix, dt: float) -> None:
@@ -326,8 +379,8 @@ def _euler_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> 
         for _ in range(steps - done):
             p = p @ step_matrix
         done = steps
-        out[row] = _finalize(p @ (np.eye(gen.n) + gen.entries * rem) if rem > 0.0 else p)
-    return out
+        out[row] = p @ (np.eye(gen.n) + gen.entries * rem) if rem > 0.0 else p
+    return _finalize(out)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -344,3 +345,23 @@ class TestEntryPoints:
     def test_version_flag_via_main(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
+
+
+class TestSimulationCap:
+    def test_jump_round_cap_exits_3(self, capsys, monkeypatch, tmp_path):
+        # a unit that fails and is repaired at rate 1 keeps every trial
+        # jumping until the mission time
+        model = tmp_path / "cycle.mdl"
+        model.write_text(
+            'state 1 "up" class = operational;\n'
+            'state 2 "down" class = fail_safe;\n'
+            "trans 1 -> 2 rate = 1;\n"
+            "trans 2 -> 1 rate = 1;\n"
+        )
+        sim_module = importlib.import_module("depmark.simulate")
+        monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", 20)
+        code, _, _ = run(capsys, "simulate", str(model), "--at", "1", "--trials", "100")
+        assert code == 0
+        code, _, err = run(capsys, "simulate", str(model), "--at", "100", "--trials", "100")
+        assert code == 3
+        assert "rounds" in err

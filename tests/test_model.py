@@ -352,3 +352,34 @@ class TestAbsorbingStates:
             transitions=(Transition(1, 2, Constant(0.5)), Transition(2, 2, Constant(1.0)))
         )
         assert absorbing_states(m) == (2,)
+
+
+class TestGeneratorAssembly:
+    @staticmethod
+    def _loop_generator(model):
+        # entry by entry, the diagonal from each row's off-diagonal sum
+        n = model.n
+        q = np.zeros((n, n))
+        for tr in model.transitions:
+            i, j = model.index_of(tr.source), model.index_of(tr.target)
+            if i != j:
+                q[i, j] += depmark.evaluate_rate(tr.rate, model.params)
+        for i in range(n):
+            q[i, i] = -(q[i].sum() - q[i, i])
+        return q
+
+    def test_matches_entry_by_entry_assembly(self, dfwcs, dfwcs_pid, toy):
+        models = [dfwcs, dfwcs_pid, toy, dfwcs.with_params({"MU": 6.0})]
+        models += [dfwcs.with_params({"C": c}) for c in np.linspace(0.9, 1.0, 50)]
+        for model in models:
+            assert np.array_equal(build_generator(model).entries, self._loop_generator(model))
+
+    def test_missing_state_message(self):
+        m = tiny_model(transitions=(Transition(1, 2, Constant(0.5)), Transition(1, 9, Constant(0.5))))
+        with pytest.raises(depmark.DepmarkError, match="transition references a missing state.*9"):
+            build_generator(m)
+
+    def test_unknown_parameter_is_not_a_missing_state(self):
+        m = tiny_model(transitions=(Transition(1, 2, ParamRef("NOPE")),))
+        with pytest.raises(depmark.UnknownParameterError):
+            build_generator(m)

@@ -1,5 +1,6 @@
 """Monte Carlo estimator: reproducibility and statistical soundness."""
 
+import importlib
 import math
 
 import numpy as np
@@ -105,3 +106,58 @@ class TestAgainstClosedForm:
             lo, hi = res.interval(2)
             hits += lo <= truth <= hi
         assert hits >= 190
+
+
+class TestJumpRoundCap:
+    """Each batch stops after JUMP_ROUND_CAP rounds; the check draws no
+    random numbers, so a run under the cap keeps its seeded counts."""
+
+    CHAIN = (
+        'state 1 "a" class = operational;\n'
+        'state 2 "b" class = fail_operational;\n'
+        'state 3 "c" class = fail_safe;\n'
+        "trans 1 -> 2 rate = 1e6;\n"
+        "trans 2 -> 3 rate = 1e6;\n"
+    )
+    CYCLE = (
+        'state 1 "up" class = operational;\n'
+        'state 2 "down" class = fail_safe;\n'
+        "trans 1 -> 2 rate = 1;\n"
+        "trans 2 -> 1 rate = 1;\n"
+    )
+
+    @pytest.fixture
+    def sim_module(self):
+        return importlib.import_module("depmark.simulate")
+
+    def test_boundary(self, sim_module, monkeypatch):
+        # two jumps, far inside t, then absorbed: every trial of every
+        # batch takes exactly three rounds
+        chain = depmark.parse(self.CHAIN)
+        monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", 3)
+        res = simulate(chain, 1000.0, 1000, seed=1)
+        assert res.counts.tolist() == [0, 0, 1000]
+        monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", 2)
+        with pytest.raises(depmark.NumericFailureError):
+            simulate(chain, 1000.0, 1000, seed=1)
+
+    def test_cap_keeps_seeded_counts(self, sim_module, monkeypatch):
+        cycle = depmark.parse(self.CYCLE)
+        free = simulate(cycle, 5.0, 2000, seed=3)
+        for cap in range(1, 200):
+            monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", cap)
+            try:
+                capped = simulate(cycle, 5.0, 2000, seed=3)
+            except depmark.NumericFailureError:
+                continue
+            break
+        else:
+            pytest.fail("no cap below 200 rounds lets the run finish")
+        assert cap > 5
+        assert np.array_equal(capped.counts, free.counts)
+
+    def test_published_coverages_far_below_cap(self, dfwcs, sim_module, monkeypatch):
+        # the cap sits more than 100x above the rounds these runs need
+        monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", sim_module.JUMP_ROUND_CAP // 100)
+        for c in (0.9, 0.99, 1.0):
+            simulate(dfwcs.with_params({"C": c}), 4380.0, BATCH_SIZE, seed=2)

@@ -554,3 +554,126 @@ class TestOracleSanity:
         q = np.array([[-0.5, 0.5], [0.0, 0.0]])
         p = oracle_expm.transient_distribution(q, np.array([1.0, 0.0]), 2.0)
         assert abs(p[1] - (1 - math.exp(-1.0))) <= 1e-13
+
+
+class TestGridArrays:
+    """The grid paths work on whole arrays: Poisson windows for many times
+    at once, one in-order weighted sum per chunk of rows, and batched
+    matrix exponentials.  None of it may change a row's bits."""
+
+    QS = (1e-6, 0.3, 1.0, 1.19, 121.7, 5.3e4)
+    # (lo, end) of each window at eps = 1e-12 as the scalar, one-term-at-a-
+    # time recurrence gave them
+    BOUNDS = ((0, 3), (0, 11), (0, 16), (0, 17), (51, 211), (51345, 54673))
+
+    def test_batch_windows_equal_one_row_windows(self):
+        for qs in (np.array(self.QS), np.array(self.QS[::-1]), np.array(self.QS[1:4])):
+            first, end, weights = solve_module._poisson_windows(qs, UNI.eps)
+            for r, q in enumerate(qs):
+                lo, row = solve_module._poisson_window(q, UNI.eps)
+                assert end[r] == lo + len(row)
+                start = lo - first[r]
+                assert start >= 0
+                assert np.array_equal(weights[r, start:start + len(row)], row)
+                assert not weights[r, :start].any() and not weights[r, start + len(row):].any()
+
+    def test_window_bounds_and_neglected_mass(self):
+        for q, bounds in zip(self.QS, self.BOUNDS):
+            lo, weights = solve_module._poisson_window(q, UNI.eps)
+            assert (lo, lo + len(weights)) == bounds
+            # the tails a window drops, measured on a far wider window
+            # from the same recurrence
+            wide_lo, wide = solve_module._poisson_window(q, 1e-30)
+            for eps in (1e-12, 1e-6):
+                lo, weights = solve_module._poisson_window(q, eps)
+                kept = wide[lo - wide_lo:lo - wide_lo + len(weights)]
+                assert np.array_equal(kept, weights)
+                assert math.fsum(wide) - math.fsum(weights) < eps * math.fsum(wide)
+                if q < 200.0:
+                    # the mode weight is accurate here, so the whole mass is
+                    # within eps of one; at large q its rounding dominates
+                    assert 1.0 - math.fsum(weights) < eps
+
+    def test_hourly_grid_rows_equal_pointwise_solves(self, dfwcs):
+        # 4381 rows span many chunks; sample rows across all of them
+        grid = [float(k) for k in range(4381)]
+        traj = solve_grid(dfwcs, UNI, grid)
+        for k in list(range(0, 4381, 97)) + [4379, 4380]:
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, grid[k]))
+
+    def test_underflowing_times_return_initial(self, dfwcs):
+        # L * 5e-324 rounds to 0: such a row is the initial vector
+        grid = [0.0, 5e-324, 1.0]
+        traj = solve_grid(dfwcs, UNI, grid)
+        assert np.array_equal(traj.probs[1], dfwcs.initial_vector())
+        for k, t in enumerate(grid):
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, t))
+
+    def test_wider_earlier_chunk_rebuilds_block(self, dfwcs, monkeypatch):
+        # pad the window of t = 1 (L*t < 1) with zero terms so that it ends
+        # past the block sized for t = 4380; the padding must not change a bit
+        plain = [solve_at(dfwcs, UNI, t) for t in (1.0, 4380.0)]
+        windows = solve_module._poisson_windows
+        block = solve_module._power_block
+        sizes = []
+
+        def padded(qs, eps):
+            first, end, weights = windows(qs, eps)
+            if qs.max() < 1.0:
+                end = end + 300
+                weights = np.pad(weights, ((0, 0), (0, 300)))
+            return first, end, weights
+
+        def counted(p0, stoch, end):
+            powers = block(p0, stoch, end)
+            sizes.append(len(powers))
+            return powers
+
+        monkeypatch.setattr(solve_module, "_poisson_windows", padded)
+        monkeypatch.setattr(solve_module, "_power_block", counted)
+        traj = solve_grid(dfwcs, UNI, [1.0, 4380.0])
+        assert sizes == [256, 512]
+        for row, expected in zip(traj.probs, plain):
+            assert np.array_equal(row, expected)
+
+    def test_expm_grid_rows_equal_pointwise_and_per_row_expm(self, dfwcs):
+        import scipy.linalg
+
+        # more rows than one stack of exponentials holds
+        grid = list(np.linspace(0.0, 4380.0, 150))
+        traj = solve_grid(dfwcs, EXPM, grid)
+        q = build_generator(dfwcs).entries
+        p0 = dfwcs.initial_vector()
+        for k, t in enumerate(grid):
+            row = np.clip(p0 @ scipy.linalg.expm(q * t), 0.0, 1.0)
+            assert np.array_equal(traj.probs[k], row)
+            if k % 50 == 0:
+                assert np.array_equal(traj.probs[k], solve_at(dfwcs, EXPM, t))
+
+    def test_finalize_block_with_one_bad_row(self):
+        block = np.full((5, 3), 1.0 / 3.0)
+        block[2, 0] = -1e-12
+        clamped = solve_module._finalize(block.copy())
+        assert clamped[2, 0] == 0.0 and np.array_equal(clamped[[0, 1, 3, 4]], block[[0, 1, 3, 4]])
+        for bad in (-1e-6, 1.0 + 1e-6):
+            block[2, 0] = bad
+            with pytest.raises(NumericFailureError):
+                solve_module._finalize(block)
+
+    def test_axis0_sum_adds_in_term_order(self):
+        # the grid rows equal pointwise solves only because numpy sums a
+        # (terms, rows, n) block over axis 0 one term after another; zero
+        # padding then adds exact zeros.  A numpy that changes this order
+        # fails here first.
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1, 7), (150, 1, 7), (150, 31, 7), (3400, 2, 7), (8, 3, 1), (1000, 64, 7)):
+            block = rng.random(shape) * 10.0 ** rng.uniform(-18.0, 0.0, shape)
+            acc = np.zeros(shape[1:])
+            for term in block:
+                acc += term
+            assert np.array_equal(block.sum(axis=0), acc)
+        # the data is order sensitive: summing backwards differs
+        backwards = np.zeros(shape[1:])
+        for term in block[::-1]:
+            backwards += term
+        assert not np.array_equal(backwards, acc)
