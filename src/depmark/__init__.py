@@ -12,149 +12,15 @@ wraps the same operations for batch use.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    AuditReport,
-    AuditRow,
-    DependabilityMetrics,
-    LengthMismatchError,
-    RELIABILITY_TARGET,
-    RequirementVerdict,
-    SweepRow,
-    TimeMismatchError,
-    UNSAFE_CEILING,
-    audit_table,
-    check_requirements,
-    compose_independent,
-    export_timeseries,
-    metrics,
-    metrics_rows,
-    sweep,
-)
-from .lang import (
-    ModelParseError,
-    ParseError,
-    ParseErrorKind,
-    SourceSpan,
-    bundled_model_path,
-    bundled_table_path,
-    load_model,
-    parse,
-    serialize,
-)
-from .model import (
-    Constant,
-    DepmarkError,
-    Difference,
-    Finding,
-    GeneratorMatrix,
-    MarkovModel,
-    NegativeRateError,
-    ParamRef,
-    ParameterDomainError,
-    ParameterSet,
-    Product,
-    RateExpr,
-    SIX_MONTHS_HOURS,
-    Severity,
-    State,
-    StateClass,
-    Sum,
-    Transition,
-    TransitionKind,
-    UnknownParameterError,
-    ValidationReport,
-    absorbing_states,
-    build_generator,
-    evaluate_rate,
-    referenced_parameters,
-    validate,
-)
-from .simulate import BATCH_SIZE, SimulationResult, Z99, simulate
-from .solve import (
-    MassDefectReport,
-    Method,
-    NumericFailureError,
-    ShapeMismatchError,
-    SolverConfig,
-    StepTooLargeError,
-    Trajectory,
-    solve_at,
-    solve_euler,
-    solve_grid,
-    solve_paper_literal,
-)
+from . import analysis, lang, model, simulate, solve
 
-__all__ = [
-    "__version__",
-    # model core
-    "DepmarkError",
-    "UnknownParameterError",
-    "NegativeRateError",
-    "ParameterDomainError",
-    "StateClass",
-    "TransitionKind",
-    "RateExpr",
-    "Constant",
-    "ParamRef",
-    "Sum",
-    "Difference",
-    "Product",
-    "ParameterSet",
-    "State",
-    "Transition",
-    "MarkovModel",
-    "GeneratorMatrix",
-    "Severity",
-    "Finding",
-    "ValidationReport",
-    "SIX_MONTHS_HOURS",
-    "build_generator",
-    "evaluate_rate",
-    "referenced_parameters",
-    "validate",
-    "absorbing_states",
-    # language
-    "parse",
-    "serialize",
-    "load_model",
-    "ParseError",
-    "ParseErrorKind",
-    "SourceSpan",
-    "ModelParseError",
-    "bundled_model_path",
-    "bundled_table_path",
-    # solvers
-    "Method",
-    "SolverConfig",
-    "Trajectory",
-    "MassDefectReport",
-    "NumericFailureError",
-    "StepTooLargeError",
-    "ShapeMismatchError",
-    "solve_at",
-    "solve_grid",
-    "solve_euler",
-    "solve_paper_literal",
-    # analysis
-    "DependabilityMetrics",
-    "LengthMismatchError",
-    "TimeMismatchError",
-    "SweepRow",
-    "RequirementVerdict",
-    "AuditRow",
-    "AuditReport",
-    "RELIABILITY_TARGET",
-    "UNSAFE_CEILING",
-    "metrics",
-    "metrics_rows",
-    "sweep",
-    "check_requirements",
-    "compose_independent",
-    "audit_table",
-    "export_timeseries",
-    # simulation
-    "SimulationResult",
-    "BATCH_SIZE",
-    "Z99",
-    "simulate",
-]
+# the public names are those of the modules, gathered before the star
+# imports below rebind ``simulate`` from the module to the function
+__all__ = ["__version__"]
+__all__ += [name for module in (model, lang, solve, analysis, simulate) for name in module.__all__]
+
+from .model import *  # noqa: E402,F403
+from .lang import *  # noqa: E402,F403
+from .solve import *  # noqa: E402,F403
+from .analysis import *  # noqa: E402,F403
+from .simulate import *  # noqa: E402,F403

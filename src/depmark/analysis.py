@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import DepmarkError, MarkovModel, StateClass
-from .solve import Method, SolverConfig, Trajectory, solve_at
+from .solve import SolverConfig, Trajectory, solve_at
 
 __all__ = [
     "RELIABILITY_TARGET",
@@ -81,13 +81,24 @@ class DependabilityMetrics:
         return (self.t, self.reliability, self.safety, self.prob_fail_safe, self.prob_fail_unsafe)
 
 
-def _class_columns(model: MarkovModel) -> tuple[list[int], list[int], list[int]]:
-    """State indices summed into R, Pfs and Pfu, in that order."""
-    return (
-        list(model.class_indices(StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL)),
-        list(model.class_indices(StateClass.FAIL_SAFE)),
-        list(model.class_indices(StateClass.FAIL_UNSAFE)),
-    )
+#: The metric each state class is summed into: R, Pfs or Pfu.
+_METRIC_OF_CLASS = {
+    StateClass.OPERATIONAL: 0,
+    StateClass.FAIL_OPERATIONAL: 0,
+    StateClass.FAIL_SAFE: 1,
+    StateClass.FAIL_UNSAFE: 2,
+}
+
+
+def _metric_columns(probs: np.ndarray, model: MarkovModel) -> tuple[np.ndarray, ...]:
+    """R, S, Pfs and Pfu of a distribution, or of each row of a (rows, n)
+    block: per-class sums in state order, with S = R + Pfs."""
+    members: tuple[list[int], ...] = ([], [], [])
+    for index, state in enumerate(model.states):
+        members[_METRIC_OF_CLASS[state.state_class]].append(index)
+    # the transpose puts the state axis first for a vector and a block alike
+    reliability, prob_fail_safe, prob_fail_unsafe = (probs.T[idx].sum(0) for idx in members)
+    return reliability, reliability + prob_fail_safe, prob_fail_safe, prob_fail_unsafe
 
 
 def metrics(dist: Sequence[float] | np.ndarray, model: MarkovModel, t: float) -> DependabilityMetrics:
@@ -101,25 +112,13 @@ def metrics(dist: Sequence[float] | np.ndarray, model: MarkovModel, t: float) ->
         raise LengthMismatchError(
             f"distribution has shape {vec.shape}, model has {model.n} states"
         )
-    delivering, safe, unsafe = _class_columns(model)
-    reliability = float(vec[delivering].sum())
-    prob_fail_safe = float(vec[safe].sum())
-    prob_fail_unsafe = float(vec[unsafe].sum())
-    return DependabilityMetrics(
-        t=float(t),
-        reliability=reliability,
-        safety=reliability + prob_fail_safe,
-        prob_fail_safe=prob_fail_safe,
-        prob_fail_unsafe=prob_fail_unsafe,
-    )
+    return DependabilityMetrics(float(t), *map(float, _metric_columns(vec, model)))
 
 
 def metrics_rows(trajectory: Trajectory, model: MarkovModel) -> list[DependabilityMetrics]:
     """Metrics for every row of a solved trajectory."""
-    return [
-        metrics(trajectory.probs[k], model, float(trajectory.times[k]))
-        for k in range(len(trajectory))
-    ]
+    columns = [column.tolist() for column in _metric_columns(trajectory.probs, model)]
+    return [DependabilityMetrics(*row) for row in zip(trajectory.times.tolist(), *columns)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,17 +146,16 @@ def sweep(
     if config is None:
         config = SolverConfig()
     ordered = sorted(float(v) for v in values)
-    out: list[SweepRow] = []
-    for value in ordered:
+    probs = np.empty((len(ordered), model.n))
+    for row, value in enumerate(ordered):
         try:
-            varied = model.with_params({param: value})
-            dist = solve_at(varied, config, t)
+            probs[row] = solve_at(model.with_params({param: value}), config, t)
         except DepmarkError as err:
             message = err.args[0] if err.args else str(err)
             err.args = (f"{param}={value:g}: {message}",) + err.args[1:]
             raise
-        out.append(SweepRow(value=value, metrics=metrics(dist, varied, t)))
-    return out
+    columns = [column.tolist() for column in _metric_columns(probs, model)]
+    return [SweepRow(value, DependabilityMetrics(float(t), *row)) for value, *row in zip(ordered, *columns)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,14 +297,7 @@ def export_timeseries(
     then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
     """
     header = ["t", *_disambiguated_labels(model), "R", "S", "Pfs", "Pfu"]
-    probs = trajectory.probs
-    # per-class column sums add each row's entries in the same order as
-    # metrics() does, so every exported row equals metrics() on that row
-    reliability, prob_fail_safe, prob_fail_unsafe = (
-        probs[:, idx].sum(axis=1) for idx in _class_columns(model)
-    )
-    columns = [trajectory.times, probs, reliability, reliability + prob_fail_safe,
-               prob_fail_safe, prob_fail_unsafe]
+    columns = [trajectory.times, trajectory.probs, *_metric_columns(trajectory.probs, model)]
     if mass_defect is not None:
         header.append("mass_defect")
         columns.append([float(mass_defect(k)) for k in range(len(trajectory))])

@@ -79,19 +79,6 @@ def _read_input(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
-def _parse_set(pairs: Sequence[str] | None) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for pair in pairs or ():
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(f"--set expects NAME=VALUE, got {pair!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise ValueError(f"--set {name}: {value!r} is not a number") from None
-    return overrides
-
-
 def _parse_grid(text: str) -> list[float]:
     """Expand start:stop:step into an ascending grid.
 
@@ -140,12 +127,29 @@ def _nonnegative_time(text: str) -> float:
     return t
 
 
-def _load_model(path: str, overrides: Mapping[str, float]) -> tuple[MarkovModel, str]:
-    text, digest = _read_input(path)
+def _load_model(
+    args: argparse.Namespace, err: io.TextIOBase
+) -> tuple[MarkovModel, str, dict[str, float]] | None:
+    """The model in ``args.file`` with the ``--set`` overrides applied, the
+    digest of the file and the overrides; None once the model's fatal
+    validation findings are written to ``err``."""
+    overrides: dict[str, float] = {}
+    for pair in args.set or ():
+        name, sep, value = pair.partition("=")
+        if not sep or not name:
+            raise ValueError(f"--set expects NAME=VALUE, got {pair!r}")
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise ValueError(f"--set {name}: {value!r} is not a number") from None
+    text, digest = _read_input(args.file)
     model = parse(text)
     if overrides:
         model = model.with_params(overrides)
-    return model, digest
+    fatal = validate(model).fatal
+    for finding in fatal:
+        err.write(f"error[{finding.code}]: {finding.message}\n")
+    return None if fatal else (model, digest, overrides)
 
 
 def _manifest_pairs(
@@ -200,13 +204,6 @@ def _emit_table(
         writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
 
 
-def _fatal_report(model: MarkovModel, out: io.TextIOBase) -> int:
-    report = validate(model)
-    for finding in report.fatal:
-        out.write(f"error[{finding.code}]: {finding.message}\n")
-    return EXIT_FINDING if report.fatal else EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -236,11 +233,10 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    overrides = _parse_set(args.set)
-    model, digest = _load_model(args.file, overrides)
-    status = _fatal_report(model, err)
-    if status != EXIT_OK:
-        return status
+    loaded = _load_model(args, err)
+    if loaded is None:
+        return EXIT_FINDING
+    model, digest, overrides = loaded
     config = _solver_config(args)
 
     if args.grid is not None:
@@ -266,11 +262,10 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    overrides = _parse_set(args.set)
-    model, digest = _load_model(args.file, overrides)
-    status = _fatal_report(model, err)
-    if status != EXIT_OK:
-        return status
+    loaded = _load_model(args, err)
+    if loaded is None:
+        return EXIT_FINDING
+    model, digest, overrides = loaded
     config = _solver_config(args)
     values = _parse_values(args.values)
 
@@ -289,11 +284,10 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    overrides = _parse_set(args.set)
-    model, digest = _load_model(args.file, overrides)
-    status = _fatal_report(model, err)
-    if status != EXIT_OK:
-        return status
+    loaded = _load_model(args, err)
+    if loaded is None:
+        return EXIT_FINDING
+    model, digest, overrides = loaded
     if not 1 <= args.trials <= TRIAL_CAP:
         raise ValueError(f"--trials must be in [1, {TRIAL_CAP}], got {args.trials}")
     if args.seed < 0:

@@ -389,10 +389,13 @@ class _Parser:
         self._expect_keyword("option")
         name_tok = self._expect_ident("option name")
         self._expect_punct("=")
-        value, _ = self._expect_number("option value")
+        value, value_tok = self._expect_number("option value")
         self._expect_punct(";")
         if name_tok.text != "horizon":
             self._error(name_tok.span, f"unknown option {name_tok.text!r}", ParseErrorKind.SEMANTIC)
+            return
+        if not math.isfinite(value):
+            self._error(value_tok.span, f"option value is not finite: {value_tok.text}", ParseErrorKind.SEMANTIC)
             return
         self.options.append(_OptionStmt(name_tok.text, value, name_tok.span))
 

@@ -39,6 +39,7 @@ __all__ = [
     "Finding",
     "ValidationReport",
     "evaluate_rate",
+    "referenced_parameters",
     "build_generator",
     "validate",
     "absorbing_states",

@@ -307,6 +307,27 @@ class TestExportTimeseries:
             assert row[-3] == row[-4] + row[-2]  # S == R + Pfs exactly
             assert row[0] == m.t and row[1:-4] == traj.probs[k].tolist()
 
+    # nine operational states: numpy may sum a class this long in another
+    # order for one vector than for a block, so the block paths must share
+    # one reduction to agree
+    CHAIN = (
+        "param L = 0.4;\n"
+        + "".join(f'state {k} "s{k}" class = operational;\n' for k in range(1, 10))
+        + 'state 10 "down" class = fail_unsafe;\n'
+        + "".join(f"trans {k} -> {k + 1} rate = L;\n" for k in range(1, 10))
+    )
+
+    def test_block_paths_agree(self):
+        model = depmark.parse(self.CHAIN)
+        traj = solve_grid(model, SolverConfig(), [0.0, 3.0, 7.5, 20.0])
+        _, rows = export_timeseries(traj, model)
+        assert [row[-4:] for row in rows] == [list(m.as_row()[1:]) for m in metrics_rows(traj, model)]
+        values = [0.1, 0.25, 0.4, 0.9]
+        swept = sweep(model, "L", values, 7.5)
+        dists = np.array([depmark.solve_at(model.with_params({"L": v}), SolverConfig(), 7.5) for v in values])
+        stacked = depmark.Trajectory(times=np.full(len(values), 7.5), probs=dists, ids=model.ids)
+        assert [row.metrics for row in swept] == metrics_rows(stacked, model)
+
     def test_empty_trajectory(self, dfwcs):
         traj = solve_grid(dfwcs, SolverConfig(), [])
         assert export_timeseries(traj, dfwcs)[1] == []

@@ -186,6 +186,18 @@ class TestSolve:
             assert code == 2
             assert "cap" in err
 
+    def test_nan_distribution_exits_3(self, capsys):
+        # expm of Q * 1e300 is all NaN, which must not print as a row
+        code, out, err = run(capsys, "solve", DFWCS, "--at", "1e300", "--method", "expm")
+        assert code == 3
+        assert "nan" not in out and "tolerance" in err
+
+    def test_non_finite_dt_exits_2(self, capsys):
+        for method, dt in (("paper-literal", "inf"), ("euler", "nan")):
+            code, out, err = run(capsys, "solve", DFWCS, "--at", "4380", "--method", method, "--dt", dt)
+            assert code == 2
+            assert out == "" and "finite" in err
+
     def test_set_domain_error_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", DFWCS, "--at", "10", "--set", "C=1.5")
         assert code == 1

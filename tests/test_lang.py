@@ -298,6 +298,11 @@ class TestParseErrors:
             parse('state 1 "s" class = operational;\noption color = 3;\n')
         assert ParseErrorKind.SEMANTIC in kinds_of(exc.value)
 
+    def test_non_finite_horizon_is_semantic(self):
+        with pytest.raises(ModelParseError) as exc:
+            parse('state 1 "s" class = operational;\noption horizon = 1e999;\n')
+        assert ParseErrorKind.SEMANTIC in kinds_of(exc.value)
+
     def test_recovery_reports_multiple_errors(self):
         doc = (
             "param = 1;\n"

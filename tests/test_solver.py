@@ -302,21 +302,6 @@ class TestGridPaths:
         for k, t in enumerate(grid):
             assert np.array_equal(traj.probs[k], solve_at(stiff, UNI, t))
 
-    def test_uniformization_wider_earlier_window(self, dfwcs, monkeypatch):
-        # a window ending past the block sized for the last time (possible
-        # only through rounding in the window bounds) gets a larger block
-        window = solve_module._poisson_window
-
-        def padded(q, eps):
-            lo, weights = window(q, eps)
-            return (lo, weights + [0.0] * 300) if q < 1.0 else (lo, weights)
-
-        monkeypatch.setattr(solve_module, "_poisson_window", padded)
-        grid = [1.0, 4380.0]
-        traj = solve_grid(dfwcs, UNI, grid)
-        for k, t in enumerate(grid):
-            assert np.array_equal(traj.probs[k], solve_at(dfwcs, UNI, t))
-
     def test_time_zero_grid_every_method(self, dfwcs):
         for method in Method:
             traj = solve_grid(dfwcs, SolverConfig(method, dt=0.5), [0.0])
@@ -519,6 +504,29 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(horizon=-1.0)
 
+    def test_non_finite_step_and_horizon(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(dt=value)
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(horizon=value)
+
+    def test_non_finite_model_horizon(self, dfwcs):
+        # a model built in code can carry any horizon; the march refuses it
+        # as it refuses such a grid time, before splitting it into steps
+        endless = dataclasses.replace(dfwcs, horizon=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            solve_euler(endless, SolverConfig(Method.EULER))
+        with pytest.raises(ValueError, match="finite"):
+            solve_paper_literal(endless, SolverConfig(Method.PAPER_LITERAL))
+
+    def test_lattice_steps(self):
+        # within 1e-9 of the lattice a time is whole steps; off it, whole
+        # steps plus a remainder
+        steps = solve_module._lattice_steps([0.0, 1.0, 1.5, 3.0 + 1e-12, 3.7], 0.5)
+        assert steps[:4] == [(0, 0.0), (2, 0.0), (3, 0.0), (6, 0.0)]
+        assert steps[4][0] == 7 and steps[4][1] == pytest.approx(0.2)
+
     def test_method_names(self):
         assert Method.from_name("uniformization") is Method.UNIFORMIZATION
         assert Method.from_name("expm") is Method.MATRIX_EXP
@@ -659,6 +667,16 @@ class TestGridArrays:
             block[2, 0] = bad
             with pytest.raises(NumericFailureError):
                 solve_module._finalize(block)
+
+    def test_finalize_refuses_nan_row(self):
+        # every comparison with NaN is false, so the check must pass only
+        # when the bounds hold, not fail only when they are broken
+        block = np.full((3, 3), 1.0 / 3.0)
+        block[1] = np.nan
+        with pytest.raises(NumericFailureError):
+            solve_module._finalize(block)
+        with pytest.raises(NumericFailureError):
+            solve_module._finalize(np.array([np.nan, 1.0]))
 
     def test_axis0_sum_adds_in_term_order(self):
         # the grid rows equal pointwise solves only because numpy sums a
