@@ -92,12 +92,14 @@ _METRIC_OF_CLASS = {
 
 def _metric_columns(probs: np.ndarray, model: MarkovModel) -> tuple[np.ndarray, ...]:
     """R, S, Pfs and Pfu of a distribution, or of each row of a (rows, n)
-    block: per-class sums in state order, with S = R + Pfs."""
-    members: tuple[list[int], ...] = ([], [], [])
-    for index, state in enumerate(model.states):
-        members[_METRIC_OF_CLASS[state.state_class]].append(index)
+    block, with S = R + Pfs.  One loop adds each class's members in state
+    order from 0.0 on every path: numpy would sum 8 or more entries of a
+    vector pairwise but the rows of a block in sequence."""
+    sums = [np.zeros(probs.shape[:-1]) for _ in range(3)]
     # the transpose puts the state axis first for a vector and a block alike
-    reliability, prob_fail_safe, prob_fail_unsafe = (probs.T[idx].sum(0) for idx in members)
+    for column, state in zip(probs.T, model.states):
+        sums[_METRIC_OF_CLASS[state.state_class]] += column
+    reliability, prob_fail_safe, prob_fail_unsafe = sums
     return reliability, reliability + prob_fail_safe, prob_fail_safe, prob_fail_unsafe
 
 

@@ -290,8 +290,6 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     model, digest, overrides = loaded
     if not 1 <= args.trials <= TRIAL_CAP:
         raise ValueError(f"--trials must be in [1, {TRIAL_CAP}], got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
     result = simulate(model, args.at, args.trials, args.seed)
     columns = ["state", "label", "count", "estimate", "ci99_half_width"]
@@ -313,9 +311,8 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     return EXIT_OK
 
 
-def _read_metric_table(path: str) -> list[dict[str, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh if not line.lstrip().startswith("#")]
+def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
+    lines = [line for line in io.StringIO(text, newline="") if not line.lstrip().startswith("#")]
     reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         raise ValueError(f"{path}: empty table")
@@ -334,10 +331,8 @@ def _read_metric_table(path: str) -> list[dict[str, float]]:
 
 
 def _cmd_audit(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    with open(args.table, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    table = _read_metric_table(args.table)
-    report = audit_table(table)
+    text, digest = _read_input(args.table)
+    report = audit_table(_read_metric_table(args.table, text))
 
     columns = ["param", "R", "S", "Pfs", "Pfu", "closure_defect", "total_defect", "status"]
     rows = []

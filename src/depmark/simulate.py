@@ -12,14 +12,16 @@ confidence interval per state.
 Randomness comes from numpy's Philox 4x64-10 counter-based generator
 (256-bit counter, 128-bit key).  Trials are processed in fixed-size
 batches of 65536 and every batch gets its own generator keyed by
-(seed, batch_index), so the result is reproducible bit for bit from the
-seed alone and does not depend on how the batches are executed.  Only
-uniform doubles are ever drawn; exponentials come from the inverse
-transform -log1p(-u)/rate and categorical picks from cumulative-table
-lookup, which keeps the draw count per trajectory round explicit.  A
-batch still running after ``JUMP_ROUND_CAP`` rounds is refused with a
-NumericFailureError; the check draws nothing, so the counts of a run
-under the cap do not depend on it.
+(seed, batch_index), so the counts are reproducible bit for bit from the
+seed and the trial count; a test pins them.  Only uniform doubles are
+ever drawn: exponentials come from the inverse transform
+-log1p(-u)/rate and categorical picks from one cumulative-table lookup.
+A batch carries only its running trials: each round draws one holding
+time and then one jump for each of them, in trial order, and drops the
+trials that have settled.  A batch still running after
+``JUMP_ROUND_CAP`` rounds is refused with a NumericFailureError; the
+check draws nothing, so the counts of a run under the cap do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -77,77 +79,44 @@ class SimulationResult:
         return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _cumulative_tables(probs: list[np.ndarray], indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad per-state successor lists into rectangular lookup tables.
-
-    Row cumulative sums are forced to end at exactly 1.0 and padded with
-    1.0, so ``(row < u).sum()`` for u in [0, 1) always lands on a real
-    successor.
-    """
-    width = max((len(p) for p in probs), default=0)
-    width = max(width, 1)
-    n = len(probs)
-    cum = np.ones((n, width))
-    succ = np.zeros((n, width), dtype=np.int64)
-    for i, (p, idx) in enumerate(zip(probs, indices)):
-        if len(p):
-            c = np.cumsum(p)
-            c[-1] = 1.0
-            cum[i, : len(c)] = c
-            succ[i, : len(idx)] = idx
-            succ[i, len(idx):] = idx[-1] if len(idx) else 0
-        else:
-            succ[i, :] = i
-    return cum, succ
+def _draw_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative probabilities of the positive weights, the last forced
+    to exactly 1.0, and their indices: ``ids[(cum < u).sum()]`` draws an
+    index for u in [0, 1)."""
+    ids = np.flatnonzero(weights > 0.0)
+    cum = np.cumsum(weights[ids] / weights[ids].sum())
+    cum[-1:] = 1.0
+    return cum, ids
 
 
 def _run_batch(
-    rng: np.random.Generator,
-    size: int,
-    t: float,
-    init_cum: np.ndarray,
-    init_ids: np.ndarray,
-    exit_rates: np.ndarray,
-    succ_cum: np.ndarray,
-    succ_ids: np.ndarray,
-    n_states: int,
+    rng: np.random.Generator, size: int, t: float, init_cum: np.ndarray, init_ids: np.ndarray,
+    exit_rates: np.ndarray, succ_cum: np.ndarray, succ_ids: np.ndarray,
 ) -> np.ndarray:
-    u0 = rng.random(size)
-    state = init_ids[(init_cum < u0[:, None]).sum(axis=1)]
+    """Final-state counts of ``size`` trials; ``state`` and ``clock``
+    hold only the trials still running, in their original order."""
+    n_states = exit_rates.size
+    counts = np.zeros(n_states, dtype=np.int64)
+    state = init_ids[(init_cum < rng.random(size)[:, None]).sum(axis=1)]
     clock = np.zeros(size)
-    final = np.full(size, -1, dtype=np.int64)
-    active = np.arange(size)
-
-    rounds = 0
-    while active.size:
-        rounds += 1
-        if rounds > JUMP_ROUND_CAP:
-            raise NumericFailureError(
-                f"simulation to t = {t:g} is still jumping after {JUMP_ROUND_CAP} rounds"
-            )
-        rates = exit_rates[state[active]]
+    for _ in range(JUMP_ROUND_CAP):
+        rates = exit_rates[state]
         absorbing = rates <= 0.0
-        if absorbing.any():
-            settled = active[absorbing]
-            final[settled] = state[settled]
-            active = active[~absorbing]
-            rates = rates[~absorbing]
-        if not active.size:
-            break
-        u = rng.random(active.size)
-        clock[active] += -np.log1p(-u) / rates
-        done = clock[active] >= t
-        settled = active[done]
-        final[settled] = state[settled]
-        moving = active[~done]
-        if moving.size:
-            u2 = rng.random(moving.size)
-            rows = succ_cum[state[moving]]
-            choice = (rows < u2[:, None]).sum(axis=1)
-            state[moving] = succ_ids[state[moving], choice]
-        active = moving
-
-    return np.bincount(final, minlength=n_states)
+        counts += np.bincount(state[absorbing], minlength=n_states)
+        state, clock, rates = state[~absorbing], clock[~absorbing], rates[~absorbing]
+        if not state.size:
+            return counts
+        clock += -np.log1p(-rng.random(state.size)) / rates
+        done = clock >= t
+        counts += np.bincount(state[done], minlength=n_states)
+        state, clock = state[~done], clock[~done]
+        if not state.size:
+            return counts
+        choice = (succ_cum[state] < rng.random(state.size)[:, None]).sum(axis=1)
+        state = succ_ids[state, choice]
+    raise NumericFailureError(
+        f"simulation to t = {t:g} is still jumping after {JUMP_ROUND_CAP} rounds"
+    )
 
 
 def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> SimulationResult:
@@ -156,41 +125,33 @@ def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> Simula
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    init_cum, init_ids = _draw_table(model.initial_vector())
+    if not init_ids.size:
+        raise ValueError("the model has no positive initial mass")
 
-    gen = build_generator(model)
-    n = model.n
-    exit_rates = -np.diag(gen.entries).copy()
+    entries = build_generator(model).entries
+    exit_rates = -np.diag(entries)
+    jumps = entries.copy()
+    np.fill_diagonal(jumps, 0.0)
+    # pad the successor rows to one width: cumulative probabilities with
+    # 1.0, so that a lookup never lands on a padding column
+    tables = [_draw_table(row) for row in jumps]
+    width = max(max(ids.size for _, ids in tables), 1)
+    succ_cum = np.ones((model.n, width))
+    succ_ids = np.zeros((model.n, width), dtype=np.int64)
+    for i, (cum, ids) in enumerate(tables):
+        succ_cum[i, : cum.size] = cum
+        succ_ids[i, : ids.size] = ids
 
-    succ_probs: list[np.ndarray] = []
-    succ_indices: list[np.ndarray] = []
-    for i in range(n):
-        row = gen.entries[i].copy()
-        row[i] = 0.0
-        nz = np.flatnonzero(row > 0.0)
-        total = row[nz].sum()
-        succ_probs.append(row[nz] / total if len(nz) else np.empty(0))
-        succ_indices.append(nz.astype(np.int64))
-    succ_cum, succ_ids = _cumulative_tables(succ_probs, succ_indices)
-
-    p0 = model.initial_vector()
-    support = np.flatnonzero(p0 > 0.0)
-    init_cum, init_ids = _cumulative_tables(
-        [p0[support] / p0[support].sum()], [support.astype(np.int64)]
-    )
-    init_cum, init_ids = init_cum[0], init_ids[0]
-
-    counts = np.zeros(n, dtype=np.int64)
-    n_batches = (trials + BATCH_SIZE - 1) // BATCH_SIZE
-    for batch in range(n_batches):
+    counts = np.zeros(model.n, dtype=np.int64)
+    for batch in range(-(-trials // BATCH_SIZE)):
         size = min(BATCH_SIZE, trials - batch * BATCH_SIZE)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, batch], dtype=np.uint64))
         )
-        counts += _run_batch(
-            rng, size, t, init_cum, init_ids, exit_rates, succ_cum, succ_ids, n
-        )
+        counts += _run_batch(rng, size, t, init_cum, init_ids, exit_rates, succ_cum, succ_ids)
 
     estimates = counts / float(trials)
     half = Z99 * np.sqrt(estimates * (1.0 - estimates) / float(trials))

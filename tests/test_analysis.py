@@ -328,6 +328,21 @@ class TestExportTimeseries:
         stacked = depmark.Trajectory(times=np.full(len(values), 7.5), probs=dists, ids=model.ids)
         assert [row.metrics for row in swept] == metrics_rows(stacked, model)
 
+    def test_one_row_paths_agree_with_block(self):
+        # a one-row export (what `solve --at t` prints) and metrics() must
+        # give the bits of the block row at the same time; summing the
+        # nine-state class pairwise for one row broke both at 166 times
+        model = depmark.parse(self.CHAIN)
+        traj = solve_grid(model, SolverConfig(), [0.05 * k for k in range(400)])
+        _, rows = export_timeseries(traj, model)
+        mismatched = 0
+        for k, row in enumerate(rows):
+            one = depmark.Trajectory(times=traj.times[k : k + 1], probs=traj.probs[k : k + 1], ids=model.ids)
+            single = metrics(traj.probs[k], model, traj.times[k])
+            mismatched += export_timeseries(one, model)[1] != [row]
+            mismatched += list(single.as_row()) != row[:1] + row[-4:]
+        assert mismatched == 0
+
     def test_empty_trajectory(self, dfwcs):
         traj = solve_grid(dfwcs, SolverConfig(), [])
         assert export_timeseries(traj, dfwcs)[1] == []

@@ -294,6 +294,13 @@ class TestSimulate:
         assert code == 2
         assert "--trials" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_key_range_exits_2(self, capsys, seed):
+        code, out, err = run(capsys, "simulate", DFWCS, "--at", "10", "--trials", "5", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
 
 class TestAudit:
     def test_shipped_table_exits_1(self, capsys):
@@ -325,6 +332,15 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--table", str(table))
         assert code == 2
         assert "Pfu" in err
+
+    def test_crlf_table_digest_of_audited_bytes(self, capsys, tmp_path):
+        data = b"# note\r\nparam,R,S,Pfs,Pfu\r\n0.9,0.9,0.95,0.05,0.05\r\n"
+        table = tmp_path / "crlf.csv"
+        table.write_bytes(data)
+        code, out, _ = run(capsys, "audit", "--table", str(table))
+        assert code == 0
+        assert manifest(out)["input"] == f"{table} sha256={hashlib.sha256(data).hexdigest()}"
+        assert [(r["param"], r["status"]) for r in data_rows(out)] == [("0.9", "ok")]
 
     def test_non_numeric_cell_exits_2(self, capsys, tmp_path):
         table = tmp_path / "broken.csv"

@@ -65,6 +65,16 @@ class TestBasicShape:
         with pytest.raises(ValueError):
             simulate(toy, 1.0, 10, seed=-1)
 
+    def test_seed_spans_the_philox_key_word(self, toy):
+        assert int(simulate(toy, 1.0, 10, seed=2**64 - 1).counts.sum()) == 10
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            simulate(toy, 1.0, 10, seed=2**64)
+
+    def test_no_initial_mass_refused(self):
+        chain = depmark.parse(TestJumpRoundCap.CYCLE + "init 2 = 0;\n")
+        with pytest.raises(ValueError, match="no positive initial mass"):
+            simulate(chain, 1.0, 1000)
+
     def test_z99_quantile(self):
         assert Z99 == 2.5758293035489004
 
@@ -161,3 +171,31 @@ class TestJumpRoundCap:
         monkeypatch.setattr(sim_module, "JUMP_ROUND_CAP", sim_module.JUMP_ROUND_CAP // 100)
         for c in (0.9, 0.99, 1.0):
             simulate(dfwcs.with_params({"C": c}), 4380.0, BATCH_SIZE, seed=2)
+
+
+class TestGoldenCounts:
+    """Seeded counts recorded from the simulator before its batch loop
+    carried only the running trials; any change to the draw order, the
+    batching or the tables shows here."""
+
+    THREE = (
+        'state 1 "a" class = operational;\n'
+        'state 2 "b" class = fail_operational;\n'
+        'state 3 "c" class = fail_safe;\n'
+        "trans 1 -> 2 rate = 0.5;\n"
+        "trans 2 -> 1 rate = 0.5;\n"
+        "trans 2 -> 3 rate = 0.25;\n"
+        "init 1 = 0.25; init 2 = 0.75;\n"
+    )
+
+    def test_dfwcs_two_batches(self, dfwcs):
+        res = simulate(dfwcs.with_params({"C": 0.9}), 4380.0, BATCH_SIZE + 1, seed=7)
+        assert res.counts.tolist() == [65431, 11, 0, 0, 0, 0, 95]
+
+    def test_cycle(self):
+        res = simulate(depmark.parse(TestJumpRoundCap.CYCLE), 5.0, 2000, seed=3)
+        assert res.counts.tolist() == [964, 1036]
+
+    def test_two_initial_states(self):
+        res = simulate(depmark.parse(self.THREE), 3.0, 10_000, seed=5)
+        assert res.counts.tolist() == [3581, 3049, 3370]
