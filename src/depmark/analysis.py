@@ -11,9 +11,9 @@ A distribution over the model's states is collapsed into four numbers:
 * safety S(t) = R(t) + Pfs(t), everything except the unsafe mass.
 
 The module also sweeps a parameter (typically the detection coverage)
-across values, checks the two bundled numeric requirements, audits
-externally supplied metric tables for internal consistency, and
-composes metrics of independently failing subsystems.
+across values as one stack of generators in one solver call, checks the
+two bundled numeric requirements, audits external metric tables for
+internal consistency, and composes independently failing subsystems.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import DepmarkError, MarkovModel, StateClass
-from .solve import SolverConfig, Trajectory, solve_at
+from .model import DepmarkError, MarkovModel, StateClass, build_generators
+from .solve import SolverConfig, Trajectory, solve_at, solve_stack
 
 __all__ = [
     "RELIABILITY_TARGET",
@@ -139,23 +139,32 @@ def sweep(
     t: float,
     config: SolverConfig | None = None,
 ) -> list[SweepRow]:
-    """Re-solve the model at time t for each value of one parameter.
+    """Solve the model at time t for each value of one parameter.
 
-    Values are processed in ascending order.  A failure for any single
-    value is re-raised with ``param=value`` prepended so a long sweep
-    pinpoints the offending point.
+    Values are processed in ascending order, duplicates kept, as one
+    stack of generators in one solver call; row b equals
+    ``metrics(solve_at(model.with_params({param: value}), config, t), ...)``
+    for the b-th value, bit for bit.  When the stack fails, the values
+    are solved one by one in that order, and the first failure is
+    re-raised with ``param=value`` prepended so a long sweep pinpoints
+    the offending point.
     """
     if config is None:
         config = SolverConfig()
     ordered = sorted(float(v) for v in values)
-    probs = np.empty((len(ordered), model.n))
-    for row, value in enumerate(ordered):
-        try:
-            probs[row] = solve_at(model.with_params({param: value}), config, t)
-        except DepmarkError as err:
-            message = err.args[0] if err.args else str(err)
-            err.args = (f"{param}={value:g}: {message}",) + err.args[1:]
-            raise
+    if not ordered:
+        return []
+    try:
+        probs = solve_stack(model, build_generators(model, param, ordered), config, [t])[:, 0]
+    except DepmarkError:
+        for value in ordered:
+            try:
+                solve_at(model.with_params({param: value}), config, t)
+            except DepmarkError as err:
+                message = err.args[0] if err.args else str(err)
+                err.args = (f"{param}={value:g}: {message}",) + err.args[1:]
+                raise err from None
+        raise
     columns = [column.tolist() for column in _metric_columns(probs, model)]
     return [SweepRow(value, DependabilityMetrics(float(t), *row)) for value, *row in zip(ordered, *columns)]
 

@@ -2,15 +2,16 @@
 
 A model is a finite set of integer-id states, each tagged with a service
 class, plus transitions whose rates are small arithmetic expressions over
-named nonnegative parameters.  ``build_generator`` turns a model into the
-generator matrix Q that every solver consumes; rows of Q sum to zero by
-construction because the diagonal is set to the negative off-diagonal sum.
+named nonnegative parameters.  ``build_generators`` turns a model into
+the generator matrix Q that every solver consumes, or into a stack of Q
+over the values of one parameter; rows of Q sum to zero by construction
+because the diagonal is set to the negative off-diagonal sum.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,6 +42,7 @@ __all__ = [
     "evaluate_rate",
     "referenced_parameters",
     "build_generator",
+    "build_generators",
     "validate",
     "absorbing_states",
 ]
@@ -48,6 +50,9 @@ __all__ = [
 #: Mission horizon, in hours, used when neither the model file nor the
 #: caller supplies one (six months of continuous operation).
 SIX_MONTHS_HOURS = 4380.0
+
+#: Most states of a model whose dense n x n generator may be assembled.
+STATE_CAP = 1000
 
 
 class DepmarkError(Exception):
@@ -64,6 +69,10 @@ class NegativeRateError(DepmarkError):
 
 class ParameterDomainError(DepmarkError):
     """A parameter value lies outside its allowed domain."""
+
+
+class NumericFailureError(DepmarkError):
+    """A computation would run away or miss its accuracy (exported by solve)."""
 
 
 class StateClass(Enum):
@@ -217,8 +226,14 @@ def evaluate_rate(expr: RateExpr, params: Mapping[str, float]) -> float:
 
     The root value must be finite and nonnegative; a negative result
     typically signals a coverage set above 1 inside a ``1 - C`` factor.
+    A parameter bound to an array gives an array of rates, each checked.
     """
     value = expr._eval(params)
+    if isinstance(value, np.ndarray):
+        bad = ~(np.isfinite(value) & (value >= 0.0))
+        if not bad.any():
+            return value
+        value = float(value[bad.argmax()])
     if not math.isfinite(value):
         raise NegativeRateError(f"rate {expr} evaluated to non-finite value {value!r}")
     if value < 0.0:
@@ -230,6 +245,14 @@ def evaluate_rate(expr: RateExpr, params: Mapping[str, float]) -> float:
 # parameters, states, transitions
 
 
+def _parameter_value(name: str, raw: float) -> float:
+    """``raw`` as a parameter value: finite and >= 0, with -0.0 made 0.0."""
+    v = float(raw)
+    if not math.isfinite(v) or v < 0.0:
+        raise ParameterDomainError(f"parameter {name!r} must be finite and >= 0, got {raw!r}")
+    return v + 0.0
+
+
 class ParameterSet(Mapping):
     """Immutable name-to-value map; every value must be finite and >= 0."""
 
@@ -239,12 +262,7 @@ class ParameterSet(Mapping):
         merged: dict[str, float] = {}
         for source in (values or {}), kwargs:
             for name, raw in source.items():
-                v = float(raw)
-                if not math.isfinite(v) or v < 0.0:
-                    raise ParameterDomainError(
-                        f"parameter {name!r} must be finite and >= 0, got {raw!r}"
-                    )
-                merged[str(name)] = v + 0.0
+                merged[str(name)] = _parameter_value(name, raw)
         self._values = merged
 
     def __getitem__(self, name: str) -> float:
@@ -370,6 +388,15 @@ class MarkovModel:
 
     # -- derivation ---------------------------------------------------
 
+    def _check_override(self, name: str, value: float) -> float:
+        if name not in self.params:
+            raise UnknownParameterError(f"cannot override undeclared parameter {name!r}")
+        if name in self.coverage and not 0.0 <= float(value) <= 1.0:
+            raise ParameterDomainError(
+                f"coverage parameter {name!r} must lie in [0, 1], got {value!r}"
+            )
+        return _parameter_value(name, value)
+
     def with_params(self, overrides: Mapping[str, float]) -> "MarkovModel":
         """Copy of the model with parameter overrides applied.
 
@@ -378,12 +405,7 @@ class MarkovModel:
         ParameterDomainError.
         """
         for name, value in overrides.items():
-            if name not in self.params:
-                raise UnknownParameterError(f"cannot override undeclared parameter {name!r}")
-            if name in self.coverage and not 0.0 <= float(value) <= 1.0:
-                raise ParameterDomainError(
-                    f"coverage parameter {name!r} must lie in [0, 1], got {value!r}"
-                )
+            self._check_override(name, value)
         return MarkovModel(
             states=self.states,
             transitions=self.transitions,
@@ -411,27 +433,45 @@ class GeneratorMatrix:
         return len(self.ids)
 
 
-def build_generator(model: MarkovModel) -> GeneratorMatrix:
-    """Evaluate every transition rate and assemble Q.
+def build_generators(
+    model: MarkovModel, param: str | None = None, values: Sequence[float] = ()
+) -> np.ndarray:
+    """Evaluate every transition rate and assemble Q as a (B, n, n) stack:
+    slice b is Q of ``model.with_params({param: values[b]})`` bit for bit,
+    each value checked as there; with no ``param``, the model's own Q.
 
     Parallel transitions between the same pair of states accumulate.
     Self-loops contribute nothing (they cancel against the conservation
-    diagonal and are flagged by :func:`validate`).
+    diagonal and are flagged by :func:`validate`).  A model of more than
+    ``STATE_CAP`` states is a NumericFailureError, raised first.
     """
     n = model.n
+    if n > STATE_CAP:
+        raise NumericFailureError(f"model has {n} states, beyond the cap of {STATE_CAP}")
+    params: dict[str, float | np.ndarray] = dict(model.params)
+    if param is not None:
+        params[param] = np.array([model._check_override(param, value) for value in values])
     try:
-        entries = [
-            (model.index_of(tr.source), model.index_of(tr.target), evaluate_rate(tr.rate, model.params))
-            for tr in model.transitions
-        ]
+        with np.errstate(all="ignore"):  # overflow is inf, as for Python floats
+            entries = [
+                (model.index_of(tr.source), model.index_of(tr.target), evaluate_rate(tr.rate, params))
+                for tr in model.transitions
+            ]
     except KeyError as err:
         raise DepmarkError(f"transition references a missing state: {err}") from None
-    q = np.zeros((n, n))
+    q = np.zeros((1 if param is None else len(values), n, n))
+    by_entry = q[0] if param is None else q.transpose(1, 2, 0)  # a lone Q takes fast scalar updates
     for i, j, rate in entries:
         if i != j:
-            q[i, j] += rate
-    q[np.diag_indices(n)] = -q.sum(axis=1)
-    return GeneratorMatrix(ids=model.ids, entries=q)
+            by_entry[i, j] += rate
+    diagonal = np.arange(n)
+    q[:, diagonal, diagonal] = -q.sum(axis=2)
+    return q
+
+
+def build_generator(model: MarkovModel) -> GeneratorMatrix:
+    """The model's Q: the one-matrix case of :func:`build_generators`."""
+    return GeneratorMatrix(ids=model.ids, entries=build_generators(model)[0])
 
 
 # --------------------------------------------------------------------------
@@ -483,83 +523,41 @@ def validate(model: MarkovModel) -> ValidationReport:
     findings: list[Finding] = []
     known = set(model.ids)
 
+    def fatal(code: str, message: str) -> None:
+        findings.append(Finding(Severity.FATAL, code, message))
+
+    def warning(code: str, message: str) -> None:
+        findings.append(Finding(Severity.WARNING, code, message))
+
     for tr in model.transitions:
         for endpoint in (tr.source, tr.target):
             if endpoint not in known:
-                findings.append(
-                    Finding(
-                        Severity.FATAL,
-                        "dangling-state",
-                        f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}",
-                    )
-                )
+                fatal("dangling-state", f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}")
 
     declared = set(model.params)
     for tr in model.transitions:
         for name in sorted(referenced_parameters(tr.rate) - declared):
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "unknown-parameter",
-                    f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}",
-                )
-            )
+            fatal("unknown-parameter", f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}")
 
     total = 0.0
     for state_id, prob in sorted(model.initial.items()):
         if state_id not in known:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "dangling-state",
-                    f"initial distribution references undeclared state {state_id}",
-                )
-            )
+            fatal("dangling-state", f"initial distribution references undeclared state {state_id}")
         if not (math.isfinite(prob) and -_INIT_SUM_TOL <= prob <= 1.0 + _INIT_SUM_TOL):
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "initial-distribution",
-                    f"initial probability of state {state_id} is outside [0, 1]: {prob!r}",
-                )
-            )
+            fatal("initial-distribution", f"initial probability of state {state_id} is outside [0, 1]: {prob!r}")
         total += prob
     if not (math.isfinite(total) and abs(total - 1.0) <= _INIT_SUM_TOL):
-        findings.append(
-            Finding(
-                Severity.FATAL,
-                "initial-distribution",
-                f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}",
-            )
-        )
+        fatal("initial-distribution", f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}")
 
     for name in sorted(model.coverage):
         if name not in model.params:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "coverage-domain",
-                    f"coverage designation names undeclared parameter {name!r}",
-                )
-            )
+            fatal("coverage-domain", f"coverage designation names undeclared parameter {name!r}")
         elif not 0.0 <= model.params[name] <= 1.0:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "coverage-domain",
-                    f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]",
-                )
-            )
+            fatal("coverage-domain", f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]")
 
     for tr in model.transitions:
         if tr.source == tr.target and tr.source in known:
-            findings.append(
-                Finding(
-                    Severity.WARNING,
-                    "self-loop",
-                    f"self-loop on state {tr.source} has no effect on the dynamics",
-                )
-            )
+            warning("self-loop", f"self-loop on state {tr.source} has no effect on the dynamics")
 
     # reachability from the initial support, over declared states only
     support = [s for s, p in model.initial.items() if p > 0.0 and s in known]
@@ -578,25 +576,16 @@ def validate(model: MarkovModel) -> ValidationReport:
     unreachable = [s.id for s in model.states if s.id not in seen]
     if unreachable and support:
         listed = ", ".join(str(s) for s in unreachable)
-        findings.append(
-            Finding(
-                Severity.WARNING,
-                "unreachable-state",
-                f"states unreachable from the initial distribution: {listed}",
-            )
-        )
+        warning("unreachable-state", f"states unreachable from the initial distribution: {listed}")
 
     for tr in model.transitions:
         if tr.source in known and tr.source != tr.target:
             cls = model.state(tr.source).state_class
             if cls in (StateClass.FAIL_SAFE, StateClass.FAIL_UNSAFE):
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        "absorbing-class-outflow",
-                        f"state {tr.source} is {cls.keyword} but has an outgoing transition "
-                        f"to {tr.target}; such states are conventionally absorbing",
-                    )
+                warning(
+                    "absorbing-class-outflow",
+                    f"state {tr.source} is {cls.keyword} but has an outgoing transition "
+                    f"to {tr.target}; such states are conventionally absorbing",
                 )
 
     findings.sort(key=lambda f: (f.severity is not Severity.FATAL))

@@ -27,6 +27,7 @@ on it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,8 @@ def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> Simula
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     init_cum, init_ids = _draw_table(model.initial_vector())

@@ -20,23 +20,26 @@ Four methods:
   a :class:`MassDefectReport` instead of being patched over.  The mode
   is defined only for models with exactly that seven-state shape.
 
-A grid solve works on whole arrays.  Uniformization computes the Poisson
-windows of many times at once (each anchored at its mode and extended by
-a cumulative product along the term axis), reads them against one shared
-block of powers p0 (I + Q/L)^k, and sums each chunk of rows as a
-(terms, rows, n) block over the terms, in term order.  The block is sized
-by the widest window (the last time's), rounded up to a power of two, and
-filled by doubling in ceil(log2(end)) matrix products; its rows are
-bounded by ``UNIFORMIZATION_TERM_CAP``.  ``MATRIX_EXP`` exponentiates
-stacks of times.  Euler and the literal mode share one march: one pass
-from 0 to the last grid time over the step lattice, where each time is a
-whole number of dt steps plus, off the lattice, a remainder step that
-Euler takes on that row alone and the literal mode refuses.  ``solve_at`` is
-row 0 of a one-point grid, and every grid row equals it bit for bit: a
-power, a window or an exponential never depends on the other grid times,
-and the zero weights that pad a window add exact zeros.  Only
-``MATRIX_EXP`` imports SciPy.  Runaway work (``UNIFORMIZATION_TERM_CAP``,
-``EULER_STEP_CAP``) is a NumericFailureError.
+Every method solves a stack of generators (``build_generators``) on a
+grid of times at once; a grid is one generator at many times and a sweep
+many generators at one time.  Uniformization computes the Poisson windows
+of many L*t at once (each anchored at its mode and extended by a
+cumulative product along the term axis) and takes the rows from the end in
+chunks, each sized so that its windows, its share of the power block and
+its (terms, rows, n) weighted terms hold about ``_CHUNK_FLOATS`` floats.
+A chunk reads a block of powers p0 (I + Q/L)^k of its generators, sized by
+its widest window rounded up to a power of two, filled by stacked doubling
+in ceil(log2(end)) products, and kept while the next chunk fits it; the
+terms are summed in term order.  ``MATRIX_EXP`` exponentiates stacks of
+Q t.  Euler and the literal mode march each generator once from 0 to the
+last grid time over the step lattice, where each time is a whole number of
+dt steps plus, off the lattice, a remainder step that Euler takes on that
+row alone and the literal mode refuses.  ``solve_at`` is row 0 of a
+one-point grid, and every row equals it bit for bit: a power, a window or
+an exponential never depends on the other rows, and the zero weights that
+pad a window add exact zeros.  Only ``MATRIX_EXP`` imports SciPy.  Runaway
+work (``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a
+NumericFailureError.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ import numpy as np
 
 from .model import (
     DepmarkError,
-    GeneratorMatrix,
     MarkovModel,
+    NumericFailureError,
     SIX_MONTHS_HOURS,
     StateClass,
     build_generator,
+    build_generators,
 )
 
 __all__ = [
@@ -67,13 +71,10 @@ __all__ = [
     "ShapeMismatchError",
     "solve_at",
     "solve_grid",
+    "solve_stack",
     "solve_euler",
     "solve_paper_literal",
 ]
-
-
-class NumericFailureError(DepmarkError):
-    """A solver could not reach the requested accuracy."""
 
 
 class StepTooLargeError(DepmarkError):
@@ -167,9 +168,9 @@ EULER_STEP_CAP = 1_000_000
 
 _BAND = 1e-9  # tolerated numeric undershoot before clamping
 _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
-#: Floats in the (terms, rows, n) block of weighted powers that one chunk
-#: of a uniformization grid sums.
-_CHUNK_FLOATS = 1 << 14
+#: Floats in one uniformization chunk: its windows, its share of the power
+#: block and its (terms, rows, n) block of weighted powers.
+_CHUNK_FLOATS = 1 << 16
 #: Times per stack of matrix exponentials: scipy takes them one by one, so
 #: a longer stack saves no work, only per-call overhead.
 _EXPM_ROWS = 64
@@ -178,9 +179,11 @@ _EXPM_ROWS = 64
 def _finalize(probs: np.ndarray) -> np.ndarray:
     """Clamp the rounding noise of a distribution, or of a block of them,
     into [0, 1] in place; anything beyond ``_BAND`` is a
-    NumericFailureError, and so is a NaN."""
+    NumericFailureError naming the first such row, and so is a NaN."""
     if not (float(probs.min(initial=0.0)) >= -_BAND and float(probs.max(initial=0.0)) <= 1.0 + _BAND):
-        raise NumericFailureError(f"probability vector left [0, 1] beyond tolerance: {probs!r}")
+        rows = probs.reshape(-1, probs.shape[-1])
+        bad = int(np.argmin(np.all((rows >= -_BAND) & (rows <= 1.0 + _BAND), axis=1)))
+        raise NumericFailureError(f"probability vector left [0, 1] beyond tolerance in row {bad}: {rows[bad]!r}")
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
@@ -255,97 +258,111 @@ def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
     return int(lo[0]), weights[0].tolist()
 
 
-def _power_block(p0: np.ndarray, stoch: np.ndarray, end: int) -> np.ndarray:
-    """Rows p0 stoch^k for k below the power of two >= ``end``, by doubling:
-    rows [m, 2m) are rows [0, m) times stoch^m.  Every level has the same
-    shape whatever ``end`` is, so row k depends on k alone."""
+def _power_block(p0: np.ndarray, stochs: np.ndarray, end: int) -> np.ndarray:
+    """Row j * size + k is p0 S_j^k, for the matrices S_j of a (g, n, n)
+    stack and k below the power of two ``size`` >= ``end``, by stacked
+    doubling: rows [m, 2m) of each S are its rows [0, m) times S^m.  Level
+    shapes depend on ``size`` alone and a stacked product equals the 2-D one
+    slice by slice, so a row depends on its k and S alone."""
     size = 1 << (end - 1).bit_length()
     if size > UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
             f"uniformization needs a block of {size} powers for {end} series terms, "
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
-    powers = np.empty((size, len(p0)))
-    powers[0] = p0
-    jump = stoch
+    powers = np.empty((len(stochs), size, len(p0)))
+    powers[:, 0] = p0
+    jump = stochs
     m = 1
     while m < size:
-        np.matmul(powers[:m], jump, out=powers[m:2 * m])
-        jump = jump @ jump
+        if m > 1:
+            jump = jump @ jump
+        np.matmul(powers[:, :m], jump, out=powers[:, m:2 * m])
         m *= 2
-    return powers
+    return powers.reshape(-1, len(p0))
 
 
-def _uniformization_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
-    gen = build_generator(model)
+def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
     p0 = model.initial_vector()
-    rate = -float(gen.entries.diagonal().min())  # max |Q_ii|: the diagonal is <= 0
-    if rate == 0.0:
-        return np.tile(p0, (len(grid), 1))
+    n, times = model.n, len(grid)
+    rates = -gens.diagonal(axis1=1, axis2=2).min(axis=1)  # max |Q_ii|: the diagonal is <= 0
+    # row r pairs generator r // times with time r % times
+    qs = (rates[:, np.newaxis] * np.asarray(grid, dtype=float)).ravel()
 
     # every window ends past floor(L*t), so absurd horizons fail here,
     # before _poisson_windows walks their series
-    qs = rate * np.asarray(grid, dtype=float)
-    q_max = float(qs[-1]) if len(qs) else 0.0
+    q_max = float(qs.max(initial=0.0))
     if q_max >= UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
             f"uniformization would need more than {q_max:.3g} terms for L*t = {q_max:.3g}, "
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
 
-    # one block of powers p0 (I + Q/L)^k serves every time.  Rows are taken
-    # from the end in chunks: the first chunk, the last time alone, sizes
-    # the block by the widest window; each later chunk is sized so that
-    # its weighted block holds about _CHUNK_FLOATS floats, and rebuilds the
-    # block if rounding makes a window end past it.  L*t is 0 only at the
-    # start of the grid.
-    out = np.empty((len(grid), gen.n))
-    zeros = int(np.count_nonzero(qs == 0.0))
-    out[:zeros] = p0
-    stoch = np.eye(gen.n) + gen.entries / rate
-    powers = np.empty((0, gen.n))
-    stop, rows = len(grid), 1
-    while stop > zeros:
-        start = max(zeros, stop - rows)
-        first, end, weights = _poisson_windows(qs[start:stop], config.eps)
+    # rows with L*t > 0 are taken from the end in chunks, each read against
+    # a block of powers p0 (I + Q/L)^k of its generators (Q/1 if L = 0, to
+    # keep them finite).  The first chunk, the last row alone, sizes a grid's
+    # block by its widest window; later ones hold about _CHUNK_FLOATS floats
+    # of windows, block share and weighted terms.  A block is kept while the
+    # generators match and no window ends past it, else freed, then rebuilt.
+    out = np.zeros((len(qs), n))
+    live = np.flatnonzero(qs)
+    scales = np.where(rates > 0.0, rates, 1.0)[:, np.newaxis, np.newaxis]
+    powers, held, size = None, None, 0
+    stop, rows = len(live), 1
+    while stop > 0:
+        start = max(0, stop - rows)
+        chunk = live[start:stop]
+        first, end, weights = _poisson_windows(qs[chunk], config.eps)
         need = max(end.tolist())
-        if need > len(powers):
-            powers = _power_block(p0, stoch, need)
+        local = chunk // times
+        lo, hi = int(local[0]), int(local[-1]) + 1
+        local -= lo
+        if need > size or held != (lo, hi):
+            powers, held = None, (lo, hi)
+            powers = _power_block(p0, np.eye(n) + gens[lo:hi] / scales[lo:hi], need)
+            size = len(powers) // (hi - lo)
         # (terms, rows, n), summed over the terms in order, not by BLAS,
-        # whose order varies by build; zero weights pad the windows
-        terms = powers.take(first + np.arange(weights.shape[1])[:, np.newaxis], axis=0, mode="clip")
+        # whose order varies by build.  Zero weights pad the windows; the
+        # rows they read (clipped, or another generator's) are finite, so
+        # they add exact zeros
+        ks = (local * size + first) + np.arange(weights.shape[1])[:, np.newaxis]
+        terms = powers.take(ks, axis=0, mode="clip")
         terms *= weights.T[:, :, np.newaxis]
-        out[start:stop] = terms.sum(axis=0)
-        stop, rows = start, max(1, _CHUNK_FLOATS // (weights.shape[1] * gen.n))
-    _finalize(out[zeros:])
-    return out
+        out[chunk] = terms.sum(axis=0)
+        per_row = weights.shape[1] * (n + 1) + size * n // times
+        stop, rows = start, max(1, _CHUNK_FLOATS // per_row)
+    # rows with L*t = 0 are the initial vector, which is not clamped
+    _finalize(out)
+    out[qs == 0.0] = p0
+    return out.reshape(len(gens), times, n)
 
 
 # --------------------------------------------------------------------------
 # matrix exponential and Euler
 
 
-def _expm_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
+def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
     import scipy.linalg  # deferred: costs more to import than the other methods take to run
 
-    q = build_generator(model).entries
     p0 = model.initial_vector()
     times = np.asarray(grid, dtype=float)[:, np.newaxis, np.newaxis]
-    out = np.empty((len(grid), model.n))
-    # scipy exponentiates a stack slice by slice, as it would one matrix
-    for start in range(0, len(grid), _EXPM_ROWS):
-        rows = slice(start, start + _EXPM_ROWS)
-        np.matmul(p0, scipy.linalg.expm(q * times[rows]), out=out[rows])
-    return _finalize(out)
+    out = np.empty((len(gens) * len(grid), model.n))
+    # scipy exponentiates a stack slice by slice, as it would one matrix;
+    # row r pairs generator r // len(grid) with time r % len(grid)
+    for start in range(0, len(out), _EXPM_ROWS):
+        g, k = np.divmod(np.arange(start, min(start + _EXPM_ROWS, len(out))), len(grid))
+        np.matmul(p0, scipy.linalg.expm(gens[g] * times[k]), out=out[start:start + len(g)])
+    return _finalize(out).reshape(len(gens), len(grid), model.n)
 
 
-def _euler_guard(gen: GeneratorMatrix, dt: float) -> None:
-    rate = float(np.max(np.abs(np.diag(gen.entries))))
-    if dt * rate >= 1.0:
-        raise StepTooLargeError(
-            f"Euler step dt = {dt:g} violates dt * max|Q_ii| < 1 (max exit rate {rate:g}); "
-            f"use dt < {1.0 / rate if rate else math.inf:g}"
-        )
+def _euler_guard(gens: np.ndarray, dt: float) -> None:
+    """Refuse the first generator of a stack whose step dt is unstable."""
+    for rate in np.abs(gens.diagonal(axis1=1, axis2=2)).max(axis=1).tolist():
+        if dt * rate >= 1.0:
+            raise StepTooLargeError(
+                f"Euler step dt = {dt:g} violates dt * max|Q_ii| < 1 (max exit rate {rate:g}); "
+                f"use dt < {1.0 / rate if rate else math.inf:g}"
+            )
 
 
 def _lattice_steps(grid: Sequence[float], dt: float) -> list[tuple[int, float]]:
@@ -382,22 +399,23 @@ def _march(p: _P, step: Callable[[_P], _P], lattice: list[tuple[int, float]]) ->
     return out
 
 
-def _euler_rows(model: MarkovModel, config: SolverConfig, grid: list[float]) -> np.ndarray:
-    """March p_{k+1} = p_k (I + Q dt) once, to the last grid time.  A time
-    off the step lattice takes its remainder step on its own row, never
-    carried forward, so every row equals a march from 0 to that time."""
+def _euler_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
+    """March p_{k+1} = p_k (I + Q dt) once per generator, to the last grid
+    time.  A time off the step lattice takes its remainder step on its own
+    row, never carried forward, so every row equals a march to that time."""
     dt = config.dt
-    gen = build_generator(model)
-    _euler_guard(gen, dt)
+    _euler_guard(gens, dt)
     lattice = _lattice_steps(grid, dt)
-    step_matrix = np.eye(gen.n) + gen.entries * dt
-    # step_matrix.T.dot(p) computes p @ step_matrix (the tests hold the two
-    # equal bit for bit) as a single bound call, which keeps the shared
-    # march at least as fast as an inline `p @ step_matrix` loop
-    out = _march(model.initial_vector(), step_matrix.T.dot, lattice)
-    for row, (_, rem) in enumerate(lattice):
-        if rem > 0.0:
-            out[row] = out[row] @ (np.eye(gen.n) + gen.entries * rem)
+    out = np.empty((len(gens), len(grid), model.n))
+    for q, rows in zip(gens, out):
+        step_matrix = np.eye(model.n) + q * dt
+        # step_matrix.T.dot(p) computes p @ step_matrix (the tests hold the
+        # two equal bit for bit) as a single bound call, which keeps the
+        # shared march at least as fast as an inline `p @ step_matrix` loop
+        rows[:] = _march(model.initial_vector(), step_matrix.T.dot, lattice)
+        for row, (_, rem) in enumerate(lattice):
+            if rem > 0.0:
+                rows[row] = rows[row] @ (np.eye(model.n) + q * rem)
     return _finalize(out)
 
 
@@ -436,8 +454,9 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_SHAPE_RTOL, abs_tol=1e-15)
 
 
-def _extract_literal_rates(model: MarkovModel) -> _LiteralRates:
-    """Recover (lam1..lam4, C, mu) from a structurally matching model.
+def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> _LiteralRates:
+    """Recover (lam1..lam4, C, mu) from the generator ``q`` of a
+    structurally matching model.
 
     Works off evaluated generator entries, so parameter overrides are
     honoured no matter how the rate expressions are spelled.
@@ -460,8 +479,6 @@ def _extract_literal_rates(model: MarkovModel) -> _LiteralRates:
             f"transition structure differs from the seven-state feed-water shape "
             f"(missing {missing}, extra {extra})"
         )
-
-    q = build_generator(model).entries
 
     def rate(i: int, j: int) -> float:
         return float(q[i - 1, j - 1])
@@ -529,6 +546,27 @@ def _literal_step(
     )
 
 
+def _literal_run(
+    model: MarkovModel, rates: _LiteralRates, config: SolverConfig, grid: list[float]
+) -> tuple[np.ndarray, list[float]]:
+    """The literal rows on an ascending grid, and the mass defect after
+    each step."""
+    dt = config.dt
+    lattice = _lattice_steps(grid, dt)
+    for t, (_, rem) in zip(grid, lattice):
+        if rem:
+            raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
+    defects: list[float] = []
+
+    def step(p: tuple[float, ...]) -> tuple[float, ...]:
+        p = _literal_step(p, rates, dt)
+        defects.append(1.0 - (p[0] + p[1] + p[2] + p[3] + p[4] + p[5] + p[6]))
+        return p
+
+    # Python floats do the same IEEE arithmetic as numpy scalars, faster
+    return _march(tuple(model.initial_vector().tolist()), step, lattice), defects
+
+
 def solve_paper_literal(
     model: MarkovModel,
     config: SolverConfig,
@@ -543,27 +581,14 @@ def solve_paper_literal(
     structurally the bundled seven-state feed-water system are rejected
     with :class:`ShapeMismatchError`.
     """
-    rates = _extract_literal_rates(model)
-    dt = config.dt
+    rates = _extract_literal_rates(model, build_generator(model).entries)
     if grid is None:
         grid = _horizon_times(model, config)
     _check_grid(grid)
-    lattice = _lattice_steps(grid, dt)
-    for t, (_, rem) in zip(grid, lattice):
-        if rem:
-            raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
-    defects: list[float] = []
-
-    def step(p: tuple[float, ...]) -> tuple[float, ...]:
-        p = _literal_step(p, rates, dt)
-        defects.append(1.0 - (p[0] + p[1] + p[2] + p[3] + p[4] + p[5] + p[6]))
-        return p
-
-    # Python floats do the same IEEE arithmetic as numpy scalars, faster
-    probs = _march(tuple(model.initial_vector().tolist()), step, lattice)
+    probs, defects = _literal_run(model, rates, config, list(grid))
     trajectory = Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
     report = MassDefectReport(
-        step_times=dt * np.arange(1, len(defects) + 1, dtype=float), defects=np.array(defects)
+        step_times=config.dt * np.arange(1, len(defects) + 1, dtype=float), defects=np.array(defects)
     )
     return trajectory, report
 
@@ -592,21 +617,34 @@ def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
     return [k * config.dt for k in range(steps + 1)] + ([horizon] if rem > 0.0 else [])
 
 
-# each method maps (model, config, ascending grid) to one row per grid time
+# each method maps (model, (B, n, n) generator stack, config, ascending
+# grid) to a (B, times, n) block: one row per generator and grid time
 _GRID_SOLVERS = {
     Method.UNIFORMIZATION: _uniformization_rows,
     Method.MATRIX_EXP: _expm_rows,
     Method.EULER: _euler_rows,
-    Method.PAPER_LITERAL: lambda model, config, grid: solve_paper_literal(model, config, grid)[0].probs,
+    Method.PAPER_LITERAL: lambda model, gens, config, grid: np.array(
+        [_literal_run(model, _extract_literal_rates(model, q), config, grid)[0] for q in gens]
+    ).reshape(len(gens), len(grid), model.n),
 }
+
+
+def solve_stack(
+    model: MarkovModel, generators: np.ndarray, config: SolverConfig, grid: Sequence[float]
+) -> np.ndarray:
+    """Distributions on an ascending grid for each generator of a stack from
+    ``build_generators``, as a (B, times, n) array: [b, k] equals ``solve_at``
+    at ``grid[k]`` of the model whose Q is ``generators[b]``."""
+    grid = list(grid)
+    _check_grid(grid)
+    return _GRID_SOLVERS[config.method](model, generators, config, grid)
 
 
 def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) -> Trajectory:
     """Distributions on an ascending grid; row k equals
     ``solve_at(model, config, grid[k])``."""
     grid = list(grid)
-    _check_grid(grid)
-    probs = _GRID_SOLVERS[config.method](model, config, grid)
+    probs = solve_stack(model, build_generators(model), config, grid)[0]
     return Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
 
 
@@ -628,5 +666,5 @@ def solve_euler(model: MarkovModel, config: SolverConfig) -> Trajectory:
     a proper distribution.
     """
     times = _horizon_times(model, config)
-    probs = _euler_rows(model, config, times)
+    probs = _euler_rows(model, build_generators(model), config, times)[0]
     return Trajectory(times=np.asarray(times, dtype=float), probs=probs, ids=model.ids)

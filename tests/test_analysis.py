@@ -17,6 +17,7 @@ from depmark import (
     ParameterDomainError,
     RELIABILITY_TARGET,
     SolverConfig,
+    SweepRow,
     TimeMismatchError,
     UNSAFE_CEILING,
     audit_table,
@@ -115,6 +116,102 @@ class TestSweep:
         pfus = [row.metrics.prob_fail_unsafe for row in results]
         assert all(a <= b + 1e-12 for a, b in zip(rs, rs[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(pfus, pfus[1:]))
+
+
+class TestSweepStack:
+    """One solver call on a stack of generators gives each value the bits
+    of its own solve, and a failing sweep names the first failing value."""
+
+    CONFIGS = {
+        "uniformization": (SolverConfig(), 4380.0),
+        "expm": (SolverConfig(Method.MATRIX_EXP), 4380.0),
+        "euler": (SolverConfig(Method.EULER, dt=0.5), 60.0),
+        "paper-literal": (SolverConfig(Method.PAPER_LITERAL, dt=1.0), 60.0),
+    }
+
+    @staticmethod
+    def _per_value(model, param, values, t, config):
+        return [
+            SweepRow(v, metrics(depmark.solve_at(model.with_params({param: v}), config, t), model, t))
+            for v in sorted(values)
+        ]
+
+    @pytest.mark.parametrize("method", list(CONFIGS))
+    @pytest.mark.parametrize(
+        "param, values",
+        [
+            ("C", [0.9, 1.0, 0.95, 0.0, 0.5, 0.999, 0.95]),
+            ("MU", [0.0, 0.3, 0.001, 0.05, 0.013888888888888888]),  # L varies
+        ],
+    )
+    def test_rows_equal_per_value_solves(self, dfwcs, method, param, values):
+        config, t = self.CONFIGS[method]
+        assert sweep(dfwcs, param, values, t, config) == self._per_value(dfwcs, param, values, t, config)
+
+    @pytest.mark.parametrize("method", list(CONFIGS))
+    def test_stiff_rows_equal_per_value_solves(self, dfwcs, method):
+        # MU = 6: L*t is about 5.3e4 at six months, a 65536-row block per value
+        stiff = dfwcs.with_params({"MU": 6.0})
+        config, t = self.CONFIGS[method]
+        if method == "euler":
+            config, t = SolverConfig(Method.EULER, dt=0.05), 5.0
+        values = [0.9, 0.97, 1.0, 0.92]
+        assert sweep(stiff, "C", values, t, config) == self._per_value(stiff, "C", values, t, config)
+
+    def test_many_values_span_chunks(self, dfwcs):
+        values = list(np.linspace(0.9, 1.0, 301)) + [0.9, 1.0]
+        swept = sweep(dfwcs, "C", values, 4380.0)
+        sample = sorted(values)[::29] + [1.0]
+        assert [r for r in swept if r.value in sample] == [
+            r for r in self._per_value(dfwcs, "C", values, 4380.0, SolverConfig()) if r.value in sample
+        ]
+
+    def test_empty_and_duplicate_values(self, dfwcs):
+        assert sweep(dfwcs, "C", [], 100.0) == []
+        assert sweep(dfwcs, "NOPE", [], 100.0) == []
+        rows = sweep(dfwcs, "C", [0.95, 0.9, 0.95], 100.0)
+        assert [row.value for row in rows] == [0.9, 0.95, 0.95]
+        assert rows[1] == rows[2]
+
+    # two-state models whose failures depend on the swept value
+    DIFF = (
+        "param A = 1; param B = 0.5;\n"
+        'state 1 "up" class = operational;\nstate 2 "down" class = fail_safe;\n'
+        "trans 1 -> 2 rate = A - B;\ntrans 2 -> 1 rate = A * A * B;\n"
+    )
+    # 1.5 of initial mass: every row at L*t outside [ln 1.5, ln 3] leaves [0, 1]
+    HEAVY = (
+        "param L = 0.5;\n"
+        'state 1 "up" class = operational;\nstate 2 "down" class = fail_safe;\n'
+        "trans 1 -> 2 rate = L;\ninit 1 = 1.5;\n"
+    )
+
+    def _assert_first_failure(self, model, param, values, t, config, kind, first):
+        with pytest.raises(kind) as swept:
+            sweep(model, param, values, t, config)
+        with pytest.raises(kind) as alone:
+            depmark.solve_at(model.with_params({param: first}), config, t)
+        assert str(swept.value) == f"{param}={first:g}: {alone.value}"
+
+    def test_errors_name_the_first_failing_value(self, dfwcs, monkeypatch):
+        uni, euler = SolverConfig(), SolverConfig(Method.EULER, dt=1.0)
+        diff, heavy = depmark.parse(self.DIFF), depmark.parse(self.HEAVY)
+        cases = [
+            (dfwcs, "C", [1.3, 0.9, 1.2], uni, ParameterDomainError, 1.2),  # coverage domain
+            (dfwcs, "MU", [0.1, -2.0, -1.0], uni, ParameterDomainError, -2.0),  # negative parameter
+            (dfwcs, "NOPE", [2.0, 1.0], uni, depmark.UnknownParameterError, 1.0),  # undeclared name
+            (diff, "A", [0.7, 0.4, 0.2, 0.1, 0.3], uni, depmark.NegativeRateError, 0.1),  # A - B < 0
+            (diff, "A", [1.0, 1e300, 1e301], uni, depmark.NegativeRateError, 1e300),  # non-finite
+            (dfwcs, "MU", [0.9, 0.1, 0.6, 0.7], euler, depmark.StepTooLargeError, 0.6),  # Euler guard
+            (heavy, "L", [0.5, 3.0, 0.8, 2.0], uni, depmark.NumericFailureError, 2.0),  # _finalize
+            (heavy, "L", [0.5, 3.0, 0.8, 2.0], SolverConfig(Method.MATRIX_EXP), depmark.NumericFailureError, 2.0),
+        ]
+        for model, param, values, config, kind, first in cases:
+            self._assert_first_failure(model, param, values, 1.0, config, kind, first)
+        # toy L = 0.5 reaches term 65 at t = 44: beyond a cap of 64
+        toy = depmark.load_model(depmark.bundled_model_path("toy_twostate.mdl"))
+        monkeypatch.setattr(depmark.solve, "UNIFORMIZATION_TERM_CAP", 64)
+        self._assert_first_failure(toy, "L", [0.1, 0.6, 0.4, 0.5, 2.0], 44.0, uni, depmark.NumericFailureError, 0.5)
 
 
 class TestRequirements:

@@ -176,6 +176,18 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_state_cap_exits_3(self, capsys, monkeypatch):
+        # dfwcs has 7 states: at a cap of 7 it solves, at 6 it is refused
+        monkeypatch.setattr(depmark.model, "STATE_CAP", 7)
+        code, _, _ = run(capsys, "solve", DFWCS, "--at", "100")
+        assert code == 0
+        monkeypatch.setattr(depmark.model, "STATE_CAP", 6)
+        for argv in (["solve", DFWCS, "--at", "100"],
+                     ["sweep", DFWCS, "--param", "C", "--values", "0.9,1", "--at", "100"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 3
+            assert "7 states, beyond the cap of 6" in err
+
     def test_grid_point_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(depmark.cli, "GRID_POINT_CAP", 5)
         code, out, _ = run(capsys, "solve", TOY, "--grid", "0:4:1")

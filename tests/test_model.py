@@ -25,8 +25,10 @@ from depmark import (
     Transition,
     TransitionKind,
     UnknownParameterError,
+    NumericFailureError,
     absorbing_states,
     build_generator,
+    build_generators,
     evaluate_rate,
     referenced_parameters,
     validate,
@@ -383,3 +385,57 @@ class TestGeneratorAssembly:
         m = tiny_model(transitions=(Transition(1, 2, ParamRef("NOPE")),))
         with pytest.raises(depmark.UnknownParameterError):
             build_generator(m)
+
+
+class TestStateCap:
+    @staticmethod
+    def _chain(states):
+        return depmark.parse(
+            "param L = 0.4;\n"
+            + "".join(f'state {k} "s{k}" class = operational;\n' for k in range(1, states + 1))
+            + "".join(f"trans {k} -> {k + 1} rate = L;\n" for k in range(1, states))
+        )
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(depmark.model, "STATE_CAP", 12)
+        at_cap = self._chain(12)
+        assert build_generator(at_cap).n == 12
+        assert depmark.solve_at(at_cap, depmark.SolverConfig(), 3.0).shape == (12,)
+        beyond = self._chain(13)
+        for build in (build_generator, build_generators, lambda m: build_generators(m, "L", [0.1, 0.2])):
+            with pytest.raises(NumericFailureError, match="13 states, beyond the cap of 12"):
+                build(beyond)
+
+    def test_default_cap(self):
+        assert depmark.model.STATE_CAP == 1000
+
+
+class TestGeneratorStack:
+    def test_values_checked_as_with_params_checks_them(self, dfwcs):
+        cases = [
+            ("NOPE", [1.0], UnknownParameterError),
+            ("C", [0.5, 1.5], ParameterDomainError),
+            ("C", [math.nan], ParameterDomainError),
+            ("MU", [0.1, -1.0], ParameterDomainError),
+            ("MU", [math.inf], ParameterDomainError),
+        ]
+        for param, values, kind in cases:
+            with pytest.raises(kind) as stacked:
+                build_generators(dfwcs, param, values)
+            with pytest.raises(kind) as alone:
+                dfwcs.with_params({param: values[-1]})
+            assert str(stacked.value) == str(alone.value)
+
+    def test_first_bad_rate_reported_as_alone(self):
+        # A - B is negative below B, and A * A * B overflows to inf at A = 1e300
+        m = depmark.parse(
+            "param A = 1; param B = 0.5;\n"
+            'state 1 "up" class = operational;\nstate 2 "down" class = fail_safe;\n'
+            "trans 1 -> 2 rate = A - B;\ntrans 2 -> 1 rate = A * A * B;\n"
+        )
+        for values, bad in (([0.7, 0.2, 0.1], 0.2), ([1.0, 1e300], 1e300)):
+            with pytest.raises(NegativeRateError) as stacked:
+                build_generators(m, "A", values)
+            with pytest.raises(NegativeRateError) as alone:
+                build_generator(m.with_params({"A": bad}))
+            assert str(stacked.value) == str(alone.value)

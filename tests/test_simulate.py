@@ -70,6 +70,18 @@ class TestBasicShape:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             simulate(toy, 1.0, 10, seed=2**64)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+    def test_seed_must_be_an_integer(self, toy, seed):
+        # int(seed) would quietly run seed 1 (or 0) for these
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            simulate(toy, 2.0, 1000, seed=seed)
+
+    def test_numpy_integer_seed_is_that_seed(self, toy):
+        plain = simulate(toy, 2.0, 1000, seed=1)
+        for seed in (np.int64(1), np.uint64(1)):
+            result = simulate(toy, 2.0, 1000, seed=seed)
+            assert np.array_equal(result.counts, plain.counts) and result.seed == 1
+
     def test_no_initial_mass_refused(self):
         chain = depmark.parse(TestJumpRoundCap.CYCLE + "init 2 = 0;\n")
         with pytest.raises(ValueError, match="no positive initial mass"):

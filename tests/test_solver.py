@@ -24,11 +24,13 @@ from depmark import (
     SolverConfig,
     StepTooLargeError,
     build_generator,
+    build_generators,
     parse,
     solve_at,
     solve_euler,
     solve_grid,
     solve_paper_literal,
+    solve_stack,
 )
 
 UNI = SolverConfig(Method.UNIFORMIZATION)
@@ -695,3 +697,81 @@ class TestGridArrays:
         for term in block[::-1]:
             backwards += term
         assert not np.array_equal(backwards, acc)
+
+
+class TestStacks:
+    """A grid (one generator, many times) and a sweep (many generators, one
+    time) are one kernel on a stack of generators.  Stacking may not change
+    a bit."""
+
+    @pytest.mark.parametrize("m", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("n", [2, 7, 13])
+    def test_stacked_matmul_equals_per_slice_products(self, m, n):
+        # the doubling writes rows [m, 2m) of every slice from its rows
+        # [0, m) as one stacked product into the same block, and squares
+        # the stack of jumps; each slice must get the 2-D product's bits
+        rng = np.random.default_rng(1000 * m + n)
+        jumps = rng.random((5, n, n)) / n
+        block = np.empty((5, 2 * m, n))
+        block[:, :m] = rng.random((5, m, n)) * 10.0 ** rng.uniform(-12.0, 0.0, (5, m, n))
+        np.matmul(block[:, :m], jumps, out=block[:, m:2 * m])
+        squares = jumps @ jumps
+        for b in range(5):
+            assert np.array_equal(block[b, m:], block[b, :m] @ jumps[b])
+            assert np.array_equal(squares[b], jumps[b] @ jumps[b])
+
+    def test_build_generators_equal_per_value_generators(self, dfwcs, dfwcs_pid, toy):
+        for model in (dfwcs, dfwcs_pid, toy):
+            assert build_generators(model).tobytes() == build_generator(model).entries.tobytes()
+            for param, base in model.params.items():
+                if param in model.coverage:
+                    values = [0.0, 0.5, base, 0.999, 1.0, 0.5]
+                else:
+                    values = [0.0, base, 2.5 * base, base / 3.0, 1.0, 6.0]
+                stack = build_generators(model, param, values)
+                assert stack.shape == (len(values), model.n, model.n)
+                for value, q in zip(values, stack):
+                    expected = build_generator(model.with_params({param: value})).entries
+                    assert q.tobytes() == expected.tobytes()
+            assert build_generators(model, "C", []).shape == (0, model.n, model.n)
+
+    @pytest.mark.parametrize(
+        "config, grid",
+        [
+            (UNI, [0.0, 1.0, 50.0, 4380.0]),
+            (EXPM, [0.0, 1.0, 50.0, 4380.0]),
+            (SolverConfig(Method.EULER, dt=0.5), [0.0, 0.3, 1.0, 40.0]),
+            (SolverConfig(Method.PAPER_LITERAL, dt=1.0), [0.0, 1.0, 40.0]),
+        ],
+        ids=lambda x: x.method.value if isinstance(x, SolverConfig) else "",
+    )
+    def test_stack_rows_equal_pointwise_solves(self, dfwcs, config, grid):
+        # many generators at many times: entry [b, k] is the solve of the
+        # b-th value at the k-th time, whatever else is in the stack
+        values = [0.9, 0.0, 1.0, 0.95]
+        probs = solve_stack(dfwcs, build_generators(dfwcs, "C", values), config, grid)
+        assert probs.shape == (len(values), len(grid), dfwcs.n)
+        for b, value in enumerate(values):
+            model = dfwcs.with_params({"C": value})
+            for k, t in enumerate(grid):
+                assert np.array_equal(probs[b, k], solve_at(model, config, t))
+
+    def test_zero_rate_generator_in_a_stack(self, toy):
+        # L = 0 between live values: its rows are the initial vector, and
+        # the block the others read must stay finite
+        values = [0.25, 0.0, 0.5, 0.0, 2.0]
+        probs = solve_stack(toy, build_generators(toy, "L", values), UNI, [0.0, 3.0])
+        for b, value in enumerate(values):
+            assert np.array_equal(probs[b, 0], toy.initial_vector())
+            assert np.array_equal(probs[b, 1], solve_at(toy.with_params({"L": value}), UNI, 3.0))
+
+    def test_finalize_names_the_first_bad_row(self):
+        block = np.full((1001, 7), 1.0 / 7.0)
+        block[300, 3] = -1e-6
+        block[700, 1] = 2.0
+        for stack in (block, block.reshape(7, 143, 7)):
+            with pytest.raises(NumericFailureError) as exc:
+                solve_module._finalize(stack.copy())
+            message = str(exc.value)
+            assert message.endswith(f"in row 300: {block[300]!r}")
+            assert len(message) < 300
