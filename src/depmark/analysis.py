@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import DepmarkError, MarkovModel, StateClass, build_generators
-from .solve import SolverConfig, Trajectory, solve_at, solve_stack
+from .solve import SolverConfig, Trajectory, _solve_stack, solve_at
 
 __all__ = [
     "RELIABILITY_TARGET",
@@ -155,7 +155,7 @@ def sweep(
     if not ordered:
         return []
     try:
-        probs = solve_stack(model, build_generators(model, param, ordered), config, [t])[:, 0]
+        probs = _solve_stack(model, build_generators(model, param, ordered), config, [t])[:, 0]
     except DepmarkError:
         for value in ordered:
             try:

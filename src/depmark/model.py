@@ -388,14 +388,15 @@ class MarkovModel:
 
     # -- derivation ---------------------------------------------------
 
-    def _check_override(self, name: str, value: float) -> float:
+    def _check_override(self, name: str, value: float) -> None:
+        """Refuse an override of an undeclared name or a coverage outside
+        [0, 1]; the finite and >= 0 check comes after, as ParameterSet's."""
         if name not in self.params:
             raise UnknownParameterError(f"cannot override undeclared parameter {name!r}")
         if name in self.coverage and not 0.0 <= float(value) <= 1.0:
             raise ParameterDomainError(
                 f"coverage parameter {name!r} must lie in [0, 1], got {value!r}"
             )
-        return _parameter_value(name, value)
 
     def with_params(self, overrides: Mapping[str, float]) -> "MarkovModel":
         """Copy of the model with parameter overrides applied.
@@ -450,7 +451,9 @@ def build_generators(
         raise NumericFailureError(f"model has {n} states, beyond the cap of {STATE_CAP}")
     params: dict[str, float | np.ndarray] = dict(model.params)
     if param is not None:
-        params[param] = np.array([model._check_override(param, value) for value in values])
+        for value in values:
+            model._check_override(param, value)
+        params[param] = np.array([_parameter_value(param, value) for value in values])
     try:
         with np.errstate(all="ignore"):  # overflow is inf, as for Python floats
             entries = [
@@ -523,41 +526,83 @@ def validate(model: MarkovModel) -> ValidationReport:
     findings: list[Finding] = []
     known = set(model.ids)
 
-    def fatal(code: str, message: str) -> None:
-        findings.append(Finding(Severity.FATAL, code, message))
-
-    def warning(code: str, message: str) -> None:
-        findings.append(Finding(Severity.WARNING, code, message))
-
     for tr in model.transitions:
         for endpoint in (tr.source, tr.target):
             if endpoint not in known:
-                fatal("dangling-state", f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}")
+                findings.append(
+                    Finding(
+                        Severity.FATAL,
+                        "dangling-state",
+                        f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}",
+                    )
+                )
 
     declared = set(model.params)
     for tr in model.transitions:
         for name in sorted(referenced_parameters(tr.rate) - declared):
-            fatal("unknown-parameter", f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}")
+            findings.append(
+                Finding(
+                    Severity.FATAL,
+                    "unknown-parameter",
+                    f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}",
+                )
+            )
 
     total = 0.0
     for state_id, prob in sorted(model.initial.items()):
         if state_id not in known:
-            fatal("dangling-state", f"initial distribution references undeclared state {state_id}")
+            findings.append(
+                Finding(
+                    Severity.FATAL,
+                    "dangling-state",
+                    f"initial distribution references undeclared state {state_id}",
+                )
+            )
         if not (math.isfinite(prob) and -_INIT_SUM_TOL <= prob <= 1.0 + _INIT_SUM_TOL):
-            fatal("initial-distribution", f"initial probability of state {state_id} is outside [0, 1]: {prob!r}")
+            findings.append(
+                Finding(
+                    Severity.FATAL,
+                    "initial-distribution",
+                    f"initial probability of state {state_id} is outside [0, 1]: {prob!r}",
+                )
+            )
         total += prob
     if not (math.isfinite(total) and abs(total - 1.0) <= _INIT_SUM_TOL):
-        fatal("initial-distribution", f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}")
+        findings.append(
+            Finding(
+                Severity.FATAL,
+                "initial-distribution",
+                f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}",
+            )
+        )
 
     for name in sorted(model.coverage):
         if name not in model.params:
-            fatal("coverage-domain", f"coverage designation names undeclared parameter {name!r}")
+            findings.append(
+                Finding(
+                    Severity.FATAL,
+                    "coverage-domain",
+                    f"coverage designation names undeclared parameter {name!r}",
+                )
+            )
         elif not 0.0 <= model.params[name] <= 1.0:
-            fatal("coverage-domain", f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]")
+            findings.append(
+                Finding(
+                    Severity.FATAL,
+                    "coverage-domain",
+                    f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]",
+                )
+            )
 
     for tr in model.transitions:
         if tr.source == tr.target and tr.source in known:
-            warning("self-loop", f"self-loop on state {tr.source} has no effect on the dynamics")
+            findings.append(
+                Finding(
+                    Severity.WARNING,
+                    "self-loop",
+                    f"self-loop on state {tr.source} has no effect on the dynamics",
+                )
+            )
 
     # reachability from the initial support, over declared states only
     support = [s for s, p in model.initial.items() if p > 0.0 and s in known]
@@ -576,16 +621,25 @@ def validate(model: MarkovModel) -> ValidationReport:
     unreachable = [s.id for s in model.states if s.id not in seen]
     if unreachable and support:
         listed = ", ".join(str(s) for s in unreachable)
-        warning("unreachable-state", f"states unreachable from the initial distribution: {listed}")
+        findings.append(
+            Finding(
+                Severity.WARNING,
+                "unreachable-state",
+                f"states unreachable from the initial distribution: {listed}",
+            )
+        )
 
     for tr in model.transitions:
         if tr.source in known and tr.source != tr.target:
             cls = model.state(tr.source).state_class
             if cls in (StateClass.FAIL_SAFE, StateClass.FAIL_UNSAFE):
-                warning(
-                    "absorbing-class-outflow",
-                    f"state {tr.source} is {cls.keyword} but has an outgoing transition "
-                    f"to {tr.target}; such states are conventionally absorbing",
+                findings.append(
+                    Finding(
+                        Severity.WARNING,
+                        "absorbing-class-outflow",
+                        f"state {tr.source} is {cls.keyword} but has an outgoing transition "
+                        f"to {tr.target}; such states are conventionally absorbing",
+                    )
                 )
 
     findings.sort(key=lambda f: (f.severity is not Severity.FATAL))

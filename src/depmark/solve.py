@@ -25,8 +25,9 @@ grid of times at once; a grid is one generator at many times and a sweep
 many generators at one time.  Uniformization computes the Poisson windows
 of many L*t at once (each anchored at its mode and extended by a
 cumulative product along the term axis) and takes the rows from the end in
-chunks, each sized so that its windows, its share of the power block and
-its (terms, rows, n) weighted terms hold about ``_CHUNK_FLOATS`` floats.
+chunks.  Each chunk is sized from its own rows' L*t: its windows, its
+(terms, rows, n) weighted terms and the power blocks of all but one of its
+generators hold at most ``_CHUNK_FLOATS`` floats, or the chunk is one row.
 A chunk reads a block of powers p0 (I + Q/L)^k of its generators, sized by
 its widest window rounded up to a power of two, filled by stacked doubling
 in ceil(log2(end)) products, and kept while the next chunk fits it; the
@@ -71,7 +72,6 @@ __all__ = [
     "ShapeMismatchError",
     "solve_at",
     "solve_grid",
-    "solve_stack",
     "solve_euler",
     "solve_paper_literal",
 ]
@@ -168,8 +168,9 @@ EULER_STEP_CAP = 1_000_000
 
 _BAND = 1e-9  # tolerated numeric undershoot before clamping
 _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
-#: Floats in one uniformization chunk: its windows, its share of the power
-#: block and its (terms, rows, n) block of weighted powers.
+#: Floats in one uniformization chunk beyond one generator's power block:
+#: its windows, its (terms, rows, n) weighted powers and the power blocks of
+#: its other generators.
 _CHUNK_FLOATS = 1 << 16
 #: Times per stack of matrix exponentials: scipy takes them one by one, so
 #: a longer stack saves no work, only per-call overhead.
@@ -208,7 +209,7 @@ def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     # from math, row by row: numpy's vector exp and log may round
     # differently for different batch lengths.
     w_mode = [math.exp(m * math.log(q) - q - math.lgamma(m + 1)) for q in q_list for m in (math.floor(q),)]
-    span = 16 + int(8.0 * math.sqrt(max(q_list)))
+    span = int(_first_span(max(q_list)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             ks = modes + np.arange(-span, span + 2)
@@ -249,6 +250,20 @@ def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
         weights[(cols < -n_below[:, np.newaxis]) | (cols > n_above[:, np.newaxis])] = 0.0
     mode_terms = modes[:, 0].astype(int)
     return mode_terms - widest_below, mode_terms + n_above + 1, weights
+
+
+def _first_span(q):
+    """Terms each side of the mode that the window of Poisson(q) is first
+    sought in (q a float or an array); small eps may widen it."""
+    return 16 + np.floor(8.0 * np.sqrt(q))
+
+
+def _chunk_floats(n: int, rows, width, gens, end):
+    """Floats that ``rows`` rows of ``gens`` generators of n states hold
+    beyond one power block: windows and weighted terms ``width`` wide, and
+    the other generators' blocks of the power of two >= ``end`` rows.
+    Takes numbers or arrays."""
+    return rows * width * (n + 1) + (gens - 1) * np.exp2(np.ceil(np.log2(end))) * n
 
 
 def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
@@ -301,21 +316,31 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
     # rows with L*t > 0 are taken from the end in chunks, each read against
     # a block of powers p0 (I + Q/L)^k of its generators (Q/1 if L = 0, to
     # keep them finite).  The first chunk, the last row alone, sizes a grid's
-    # block by its widest window; later ones hold about _CHUNK_FLOATS floats
-    # of windows, block share and weighted terms.  A block is kept while the
+    # block by its widest window; each later one takes the most rows back
+    # from where the last began that fit _CHUNK_FLOATS by the width and end
+    # bounds of their own windows while the first span holds (costs rise
+    # with the rows, so the rows that fit are a prefix, and none costs less
+    # than (n + 1) * min(widths) floats); if its windows widened past the
+    # bounds, it is halved until they fit.  A block is kept while the
     # generators match and no window ends past it, else freed, then rebuilt.
     out = np.zeros((len(qs), n))
     live = np.flatnonzero(qs)
+    modes, spans = np.floor(qs[live]), _first_span(qs[live])
+    widths, ends = np.minimum(modes, spans) + spans + 1, modes + spans
+    reach = _CHUNK_FLOATS // ((n + 1) * int(widths.min(initial=_CHUNK_FLOATS))) + 1
     scales = np.where(rates > 0.0, rates, 1.0)[:, np.newaxis, np.newaxis]
     powers, held, size = None, None, 0
     stop, rows = len(live), 1
     while stop > 0:
-        start = max(0, stop - rows)
-        chunk = live[start:stop]
-        first, end, weights = _poisson_windows(qs[chunk], config.eps)
-        need = max(end.tolist())
-        local = chunk // times
-        lo, hi = int(local[0]), int(local[-1]) + 1
+        while True:
+            chunk = live[stop - rows:stop]
+            first, end, weights = _poisson_windows(qs[chunk], config.eps)
+            need = max(end.tolist())
+            local = chunk // times
+            lo, hi = int(local[0]), int(local[-1]) + 1
+            if rows == 1 or _chunk_floats(n, rows, weights.shape[1], hi - lo, need) <= _CHUNK_FLOATS:
+                break
+            rows //= 2
         local -= lo
         if need > size or held != (lo, hi):
             powers, held = None, (lo, hi)
@@ -329,8 +354,14 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
         terms = powers.take(ks, axis=0, mode="clip")
         terms *= weights.T[:, :, np.newaxis]
         out[chunk] = terms.sum(axis=0)
-        per_row = weights.shape[1] * (n + 1) + size * n // times
-        stop, rows = start, max(1, _CHUNK_FLOATS // per_row)
+        stop -= rows
+        tail = slice(max(0, stop - reach), stop)
+        spread = live[stop - 1] // times - live[tail][::-1] // times + 1
+        fits = _chunk_floats(
+            n, np.arange(1, len(spread) + 1), np.maximum.accumulate(widths[tail][::-1]), spread,
+            np.maximum.accumulate(ends[tail][::-1]),
+        ) <= _CHUNK_FLOATS
+        rows = max(1, int(np.count_nonzero(fits)))
     # rows with L*t = 0 are the initial vector, which is not clamped
     _finalize(out)
     out[qs == 0.0] = p0
@@ -629,7 +660,7 @@ _GRID_SOLVERS = {
 }
 
 
-def solve_stack(
+def _solve_stack(
     model: MarkovModel, generators: np.ndarray, config: SolverConfig, grid: Sequence[float]
 ) -> np.ndarray:
     """Distributions on an ascending grid for each generator of a stack from
@@ -644,7 +675,7 @@ def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) 
     """Distributions on an ascending grid; row k equals
     ``solve_at(model, config, grid[k])``."""
     grid = list(grid)
-    probs = solve_stack(model, build_generators(model), config, grid)[0]
+    probs = _solve_stack(model, build_generators(model), config, grid)[0]
     return Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
 
 

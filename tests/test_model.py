@@ -191,6 +191,13 @@ class TestMarkovModel:
             dfwcs.with_params({"C": 1.5})
         assert dfwcs.with_params({"C": 1.0}).params["C"] == 1.0
 
+    def test_with_params_checks_names_before_values(self, dfwcs):
+        # every name and coverage is checked before any value's domain
+        with pytest.raises(UnknownParameterError):
+            dfwcs.with_params({"MU": -1.0, "NOPE": 1.0})
+        with pytest.raises(ParameterDomainError, match="coverage parameter 'C'"):
+            dfwcs.with_params({"MU": -1.0, "C": 1.5})
+
     def test_six_months_constant(self):
         assert depmark.SIX_MONTHS_HOURS == 4380.0
 

@@ -30,7 +30,6 @@ from depmark import (
     solve_euler,
     solve_grid,
     solve_paper_literal,
-    solve_stack,
 )
 
 UNI = SolverConfig(Method.UNIFORMIZATION)
@@ -749,7 +748,7 @@ class TestStacks:
         # many generators at many times: entry [b, k] is the solve of the
         # b-th value at the k-th time, whatever else is in the stack
         values = [0.9, 0.0, 1.0, 0.95]
-        probs = solve_stack(dfwcs, build_generators(dfwcs, "C", values), config, grid)
+        probs = solve_module._solve_stack(dfwcs, build_generators(dfwcs, "C", values), config, grid)
         assert probs.shape == (len(values), len(grid), dfwcs.n)
         for b, value in enumerate(values):
             model = dfwcs.with_params({"C": value})
@@ -760,10 +759,72 @@ class TestStacks:
         # L = 0 between live values: its rows are the initial vector, and
         # the block the others read must stay finite
         values = [0.25, 0.0, 0.5, 0.0, 2.0]
-        probs = solve_stack(toy, build_generators(toy, "L", values), UNI, [0.0, 3.0])
+        probs = solve_module._solve_stack(toy, build_generators(toy, "L", values), UNI, [0.0, 3.0])
         for b, value in enumerate(values):
             assert np.array_equal(probs[b, 0], toy.initial_vector())
             assert np.array_equal(probs[b, 1], solve_at(toy.with_params({"L": value}), UNI, 3.0))
+
+    # a sweep whose L falls as the value rises: 100 at C = 0, 0.001 at C = 1
+    FALLING = (
+        "param C = 0.5 coverage;\n"
+        'state 1 "up" class = operational;\nstate 2 "down" class = fail_safe;\n'
+        "trans 1 -> 2 rate = (1 - C) * 100;\ntrans 2 -> 1 rate = 0.001;\n"
+    )
+
+    def _record_chunks(self, monkeypatch):
+        """Record (rows, width) of every window call and (generators, end)
+        of every power block the uniformization kernel makes."""
+        windows, blocks = [], []
+        poisson_windows, power_block = solve_module._poisson_windows, solve_module._power_block
+
+        def record_windows(qs, eps):
+            first, end, weights = poisson_windows(qs, eps)
+            windows.append(weights.shape)
+            return first, end, weights
+
+        def record_block(p0, stochs, end):
+            blocks.append((len(stochs), end))
+            return power_block(p0, stochs, end)
+
+        monkeypatch.setattr(solve_module, "_poisson_windows", record_windows)
+        monkeypatch.setattr(solve_module, "_power_block", record_block)
+        return windows, blocks
+
+    def test_chunks_fit_the_budget_when_l_falls_along_a_sweep(self, monkeypatch):
+        # each chunk is sized from its own rows: a chunk after the tiny-L
+        # last value may not take the wide windows and big blocks before it
+        model = parse(self.FALLING)
+        values = [k / 100.0 for k in range(101)]
+        windows, blocks = self._record_chunks(monkeypatch)
+        rows = depmark.sweep(model, "C", values, 43.8)
+        budget = solve_module._CHUNK_FLOATS
+        assert len(blocks) > 1 and max(end for _, end in blocks) > 4096
+        for gens, end in blocks:
+            size = 1 << (end - 1).bit_length()
+            assert (gens - 1) * size * model.n <= budget
+        for count, width in windows:
+            assert count == 1 or count * width * (model.n + 1) <= budget
+        monkeypatch.undo()
+        for row, value in zip(rows, values):
+            alone = solve_at(model.with_params({"C": value}), UNI, 43.8)
+            assert row.metrics == depmark.metrics(alone, model, 43.8)
+
+    def test_widened_windows_halve_their_chunk(self, dfwcs, monkeypatch):
+        # at eps = 1e-50 the windows widen past the bounds the chunks are
+        # sized by; such a chunk is halved until its windows fit
+        config = SolverConfig(eps=1e-50)
+        grid = [float(t) for t in range(0, 4381, 3)]
+        windows, _ = self._record_chunks(monkeypatch)
+        traj = solve_grid(dfwcs, config, grid)
+        monkeypatch.undo()
+        budget, over = solve_module._CHUNK_FLOATS, 0
+        for (count, width), after in zip(windows, windows[1:] + [None]):
+            if count > 1 and count * width * (dfwcs.n + 1) > budget:
+                over += 1
+                assert after is not None and after[0] == count // 2
+        assert over
+        for k in (0, 1, 500, len(grid) - 1):
+            assert np.array_equal(traj.probs[k], solve_at(dfwcs, config, grid[k]))
 
     def test_finalize_names_the_first_bad_row(self):
         block = np.full((1001, 7), 1.0 / 7.0)
