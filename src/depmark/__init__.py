@@ -8,19 +8,49 @@ safety metrics, sweeps parameters such as detection coverage, cross-checks
 everything against a seeded Monte Carlo simulator, and audits externally
 published metric tables for internal consistency.  The `depmark` command
 wraps the same operations for batch use.
+
+``import depmark`` loads no submodule: a public name resolves on first use
+(PEP 562) from the submodule whose ``__all__`` lists it, so the language
+and validation load without numpy.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from . import analysis, lang, model, simulate, solve
+#: The submodules whose ``__all__`` lists, in this order, are the public names.
+_MODULES = ("model", "lang", "solve", "analysis", "simulate")
 
-# the public names are those of the modules, gathered before the star
-# imports below rebind ``simulate`` from the module to the function
-__all__ = ["__version__"]
-__all__ += [name for module in (model, lang, solve, analysis, simulate) for name in module.__all__]
 
-from .model import *  # noqa: E402,F403
-from .lang import *  # noqa: E402,F403
-from .solve import *  # noqa: E402,F403
-from .analysis import *  # noqa: E402,F403
-from .simulate import *  # noqa: E402,F403
+def __getattr__(name):
+    if name in _MODULES:  # loading it binds it, or its function simulate, here
+        importlib.import_module(f"{__name__}.{name}")
+        return globals()[name]
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)  # loaded in turn
+    if name == "__all__":
+        value = ["__version__", *(n for module in modules for n in module.__all__)]
+    else:
+        owner = next((module for module in modules if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *getattr(sys.modules[__name__], "__all__")})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds each loaded submodule here; one that exports
+        # a name of its own (``simulate``) leaves that name to the export
+        if isinstance(value, types.ModuleType) and name in getattr(value, "__all__", ()):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -19,12 +19,13 @@ internal consistency, and composes independently failing subsystems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .model import DepmarkError, MarkovModel, StateClass, build_generators
-from .solve import SolverConfig, Trajectory, _solve_stack, solve_at
+
+if TYPE_CHECKING:  # numpy and the solvers load on first use: audit_table needs neither
+    import numpy as np
+    from .solve import SolverConfig, Trajectory
 
 __all__ = [
     "RELIABILITY_TARGET",
@@ -95,6 +96,7 @@ def _metric_columns(probs: np.ndarray, model: MarkovModel) -> tuple[np.ndarray, 
     block, with S = R + Pfs.  One loop adds each class's members in state
     order from 0.0 on every path: numpy would sum 8 or more entries of a
     vector pairwise but the rows of a block in sequence."""
+    import numpy as np
     sums = [np.zeros(probs.shape[:-1]) for _ in range(3)]
     # the transpose puts the state axis first for a vector and a block alike
     for column, state in zip(probs.T, model.states):
@@ -109,6 +111,7 @@ def metrics(dist: Sequence[float] | np.ndarray, model: MarkovModel, t: float) ->
     Safety is computed as reliability + prob_fail_safe, so the closure
     identity holds exactly in floating point, not just approximately.
     """
+    import numpy as np
     vec = np.asarray(dist, dtype=float)
     if vec.shape != (model.n,):
         raise LengthMismatchError(
@@ -149,6 +152,7 @@ def sweep(
     re-raised with ``param=value`` prepended so a long sweep pinpoints
     the offending point.
     """
+    from .solve import SolverConfig, _solve_stack, solve_at
     if config is None:
         config = SolverConfig()
     ordered = sorted(float(v) for v in values)
@@ -261,14 +265,8 @@ def audit_table(rows: Iterable[Mapping[str, float] | Sequence[float]]) -> AuditR
     """
     audited: list[AuditRow] = []
     for row in rows:
-        if isinstance(row, Mapping):
-            param = float(row["param"])
-            r = float(row["R"])
-            s = float(row["S"])
-            pfs = float(row["Pfs"])
-            pfu = float(row["Pfu"])
-        else:
-            param, r, s, pfs, pfu = (float(x) for x in row)
+        cells = (row[key] for key in ("param", "R", "S", "Pfs", "Pfu")) if isinstance(row, Mapping) else row
+        param, r, s, pfs, pfu = map(float, cells)
         closure = r + pfs - s
         total = s + pfu - 1.0
         audited.append(
@@ -307,6 +305,7 @@ def export_timeseries(
     Columns: t, one per state label (duplicates get an ``_<id>`` suffix),
     then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
     """
+    import numpy as np
     header = ["t", *_disambiguated_labels(model), "R", "S", "Pfs", "Pfu"]
     columns = [trajectory.times, trajectory.probs, *_metric_columns(trajectory.probs, model)]
     if mass_defect is not None:

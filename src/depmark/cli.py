@@ -13,12 +13,16 @@ settings.  Outputs contain no timestamps or machine identifiers, so a
 rerun with the same inputs produces the same bytes.
 
 CSV details: header row then data rows, UTF-8, LF line endings, minimal
-quoting, floats at 9 significant digits.  JSON mirrors the same columns
-as one object per row: ``{"manifest": {...}, "columns": [...],
-"rows": [{column: value, ...}, ...]}`` with full-precision floats.
+quoting, floats at 9 significant digits.  Inputs may start with a UTF-8
+byte-order mark.  JSON mirrors the same columns as one object per row:
+``{"manifest": {...}, "columns": [...], "rows": [{column: value, ...},
+...]}`` with full-precision floats.
 
 Exit codes are a stable contract: 0 success, 1 domain or validation or
 audit finding, 2 usage, parse, or I/O error, 3 numeric failure.
+
+Each command imports only the modules it uses: ``validate`` and ``audit``
+load no numpy, and only ``--method expm`` loads SciPy.
 """
 
 from __future__ import annotations
@@ -30,27 +34,14 @@ import io
 import json
 import math
 import sys
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
-from .analysis import (
-    CLOSURE_TOL,
-    TOTAL_TOL,
-    audit_table,
-    export_timeseries,
-    sweep,
-)
 from .lang import ModelParseError, parse
-from .model import DepmarkError, MarkovModel, validate
-from .simulate import simulate
-from .solve import (
-    Method,
-    NumericFailureError,
-    SolverConfig,
-    StepTooLargeError,
-    solve_grid,
-    solve_paper_literal,
-)
+from .model import DepmarkError, MarkovModel, Method, NumericFailureError, StepTooLargeError, validate
+
+if TYPE_CHECKING:  # the numerical modules load in the handlers that use them
+    from .solve import SolverConfig
 
 __all__ = ["main"]
 
@@ -73,10 +64,11 @@ def _fmt(x: float) -> str:
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    """File text plus the SHA-256 hex digest of the bytes actually read."""
+    """File text, less any UTF-8 byte-order mark, plus the SHA-256 hex
+    digest of the bytes actually read."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -200,8 +192,13 @@ def _emit_table(
         out.write(f"# {key}: {value}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
+    # one format per row of numbers: no %.9g text needs csv quoting
+    numeric_row = ",".join(["%.9g"] * len(columns)) + "\n"
     for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+        try:
+            out.write(numeric_row % tuple(row))
+        except TypeError:  # a string cell
+            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +222,7 @@ def _cmd_validate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    from .solve import SolverConfig
     return SolverConfig(
         method=Method.from_name(args.method),
         eps=args.eps,
@@ -233,6 +231,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .analysis import export_timeseries
+    from .solve import solve_grid, solve_paper_literal
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
@@ -262,6 +262,7 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .analysis import sweep
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
@@ -270,11 +271,7 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     values = _parse_values(args.values)
 
     results = sweep(model, args.param, values, args.at, config)
-    rows = [
-        (row.value, row.metrics.reliability, row.metrics.safety,
-         row.metrics.prob_fail_safe, row.metrics.prob_fail_unsafe)
-        for row in results
-    ]
+    rows = [(row.value, *row.metrics.as_row()[1:]) for row in results]
     manifest = _manifest_pairs(
         "sweep", args.file, digest, overrides, config,
         [("param", args.param), ("at", _fmt(args.at))],
@@ -284,6 +281,7 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .simulate import simulate
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
@@ -331,25 +329,16 @@ def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
 
 
 def _cmd_audit(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    from .analysis import CLOSURE_TOL, TOTAL_TOL, audit_table
     text, digest = _read_input(args.table)
     report = audit_table(_read_metric_table(args.table, text))
 
-    columns = ["param", "R", "S", "Pfs", "Pfu", "closure_defect", "total_defect", "status"]
+    columns = [*_AUDIT_COLUMNS, "closure_defect", "total_defect", "status"]
     rows = []
     for row in report.rows:
         problems = [name for name, ok in (("closure", row.closure_ok), ("total", row.total_ok)) if not ok]
-        rows.append(
-            (
-                row.param,
-                row.reliability,
-                row.safety,
-                row.prob_fail_safe,
-                row.prob_fail_unsafe,
-                row.closure_defect,
-                row.total_defect,
-                "+".join(problems) if problems else "ok",
-            )
-        )
+        rows.append((row.param, row.reliability, row.safety, row.prob_fail_safe, row.prob_fail_unsafe,
+                     row.closure_defect, row.total_defect, "+".join(problems) or "ok"))
     manifest = _manifest_pairs(
         "audit", args.table, digest, {}, None,
         [

@@ -578,8 +578,8 @@ def serialize(model: MarkovModel) -> str:
 
 
 def load_model(path: str | Path) -> MarkovModel:
-    """Read and parse a model file (UTF-8)."""
-    return parse(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a model file (UTF-8, with or without a byte-order mark)."""
+    return parse(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _bundled(kind: str, name: str, suffix: str) -> Path:

@@ -14,8 +14,10 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SIX_MONTHS_HOURS",
@@ -73,6 +75,26 @@ class ParameterDomainError(DepmarkError):
 
 class NumericFailureError(DepmarkError):
     """A computation would run away or miss its accuracy (exported by solve)."""
+
+
+class StepTooLargeError(DepmarkError):
+    """An Euler step breaks the guard dt * max|Q_ii| < 1 (exported by solve)."""
+
+
+class Method(Enum):
+    """Transient solver methods (exported by solve; numpy-free for the CLI)."""
+
+    UNIFORMIZATION = "uniformization"
+    MATRIX_EXP = "expm"
+    EULER = "euler"
+    PAPER_LITERAL = "paper-literal"
+
+    @classmethod
+    def from_name(cls, name: str) -> "Method":
+        for member in cls:
+            if member.value == name:
+                return member
+        raise ValueError(f"unknown solver method {name!r}")
 
 
 class StateClass(Enum):
@@ -229,8 +251,8 @@ def evaluate_rate(expr: RateExpr, params: Mapping[str, float]) -> float:
     A parameter bound to an array gives an array of rates, each checked.
     """
     value = expr._eval(params)
-    if isinstance(value, np.ndarray):
-        bad = ~(np.isfinite(value) & (value >= 0.0))
+    if getattr(value, "ndim", 0):  # 0 <= x < inf holds just for finite x >= 0
+        bad = ~((value >= 0.0) & (value < math.inf))
         if not bad.any():
             return value
         value = float(value[bad.argmax()])
@@ -378,6 +400,7 @@ class MarkovModel:
 
     def initial_vector(self) -> np.ndarray:
         """Initial distribution as a dense row vector in state order."""
+        import numpy as np
         p0 = np.zeros(self.n)
         for state_id, prob in self.initial.items():
             p0[self.index_of(state_id)] = prob
@@ -446,6 +469,7 @@ def build_generators(
     diagonal and are flagged by :func:`validate`).  A model of more than
     ``STATE_CAP`` states is a NumericFailureError, raised first.
     """
+    import numpy as np
     n = model.n
     if n > STATE_CAP:
         raise NumericFailureError(f"model has {n} states, beyond the cap of {STATE_CAP}")

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MarkovModel, build_generator
-from .solve import NumericFailureError
+from .model import MarkovModel, NumericFailureError, build_generator
 
 __all__ = ["BATCH_SIZE", "Z99", "SimulationResult", "simulate"]
 

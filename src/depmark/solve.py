@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -55,9 +54,11 @@ import numpy as np
 from .model import (
     DepmarkError,
     MarkovModel,
+    Method,
     NumericFailureError,
     SIX_MONTHS_HOURS,
     StateClass,
+    StepTooLargeError,
     build_generator,
     build_generators,
 )
@@ -77,26 +78,8 @@ __all__ = [
 ]
 
 
-class StepTooLargeError(DepmarkError):
-    """Explicit Euler step violates the stability guard dt * max|Q_ii| < 1."""
-
-
 class ShapeMismatchError(DepmarkError):
     """The literal update mode was asked to run on a foreign model shape."""
-
-
-class Method(Enum):
-    UNIFORMIZATION = "uniformization"
-    MATRIX_EXP = "expm"
-    EULER = "euler"
-    PAPER_LITERAL = "paper-literal"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Method":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown solver method {name!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,12 +5,14 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 import depmark
+import depmark.cli as cli
 from depmark.cli import main
 
 DFWCS = str(depmark.bundled_model_path("dfwcs.mdl"))
@@ -366,6 +368,56 @@ class TestAudit:
         doc = json.loads(out)
         assert doc["manifest"]["flagged"] == "1"
         assert len(doc["rows"]) == 9
+
+
+class TestByteOrderMark:
+    BOM = b"\xef\xbb\xbf"
+
+    def test_table_audits_as_without(self, capsys, tmp_path):
+        data = self.BOM + open(TABLE3, "rb").read()
+        table = tmp_path / "bom.csv"
+        table.write_bytes(data)
+        code, out, _ = run(capsys, "audit", "--table", TABLE3)
+        bom_code, bom_out, err = run(capsys, "audit", "--table", str(table))
+        assert bom_code == code == 1, err
+        assert data_rows(bom_out) == data_rows(out)
+        assert manifest(bom_out)["flagged"] == manifest(out)["flagged"] == "1"
+        assert manifest(bom_out)["input"] == f"{table} sha256={hashlib.sha256(data).hexdigest()}"
+
+    def test_model_reads_as_without(self, capsys, tmp_path):
+        model = tmp_path / "bom.mdl"
+        model.write_bytes(self.BOM + open(DFWCS, "rb").read())
+        code, out, err = run(capsys, "validate", str(model))
+        assert code == 0, err
+        assert "ok: 7 states, 13 transitions" in out
+        _, plain, _ = run(capsys, "solve", DFWCS, "--at", "4380")
+        code, bom, err = run(capsys, "solve", str(model), "--at", "4380")
+        assert code == 0, err
+        assert data_rows(bom) == data_rows(plain)
+        assert depmark.load_model(model) == depmark.load_model(DFWCS)
+
+
+class TestRowFormat:
+    VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 123456789.5, 7]
+
+    def test_numeric_rows_equal_csv_writer_over_fmt(self):
+        columns = ["t", 'up, "main"', *(f"c{k}" for k in range(len(self.VALUES) - 2))]
+        rows = [self.VALUES, self.VALUES[::-1], tuple(self.VALUES[3:] + self.VALUES[:3])]
+        out = io.StringIO()
+        cli._emit_table(out, "csv", [("command", "test")], columns, rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cli._fmt(cell) for cell in row])
+        assert out.getvalue() == "# command: test\n" + expected.getvalue()
+        header = out.getvalue().splitlines()[1]
+        assert header.startswith('t,"up, ""main""",c0,')
+
+    def test_string_cells_keep_csv_quoting(self):
+        out = io.StringIO()
+        cli._emit_table(out, "csv", [], ["label", "x"], [("a,b", 0.5), (1.5, 2)])
+        assert out.getvalue() == 'label,x\n"a,b",0.5\n1.5,2\n'
 
 
 class TestEntryPoints:
