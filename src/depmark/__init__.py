@@ -23,11 +23,17 @@ __version__ = "0.1.0"
 #: The submodules whose ``__all__`` lists, in this order, are the public names.
 _MODULES = ("model", "lang", "solve", "analysis", "simulate")
 
+#: Submodules that export nothing: ``from depmark import cli`` probes the
+#: package for the name before it loads the submodule.
+_UNLISTED = ("cli", "__main__")
+
 
 def __getattr__(name):
     if name in _MODULES:  # loading it binds it, or its function simulate, here
         importlib.import_module(f"{__name__}.{name}")
         return globals()[name]
+    if name in _UNLISTED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)  # loaded in turn
     if name == "__all__":
         value = ["__version__", *(n for module in modules for n in module.__all__)]

@@ -18,10 +18,14 @@ ever drawn: exponentials come from the inverse transform
 -log1p(-u)/rate and categorical picks from one cumulative-table lookup.
 A batch carries only its running trials: each round draws one holding
 time and then one jump for each of them, in trial order, and drops the
-trials that have settled.  A batch still running after
-``JUMP_ROUND_CAP`` rounds is refused with a NumericFailureError; the
-check draws nothing, so the counts of a run under the cap do not depend
-on it.
+trials that have settled.  It counts the settled trials per state, as the
+running count minus the survivors' count, so only the first round touches
+the whole batch.  With a single initial state the initial uniforms cannot
+change an outcome; the batch skips them by advancing the Philox counter,
+which leaves the generator where drawing them would.  A batch still
+running after ``JUMP_ROUND_CAP`` rounds is refused with a
+NumericFailureError; the check draws nothing, so the counts of a run
+under the cap do not depend on it.
 """
 
 from __future__ import annotations
@@ -93,27 +97,51 @@ def _run_batch(
     rng: np.random.Generator, size: int, t: float, init_cum: np.ndarray, init_ids: np.ndarray,
     exit_rates: np.ndarray, succ_cum: np.ndarray, succ_ids: np.ndarray,
 ) -> np.ndarray:
-    """Final-state counts of ``size`` trials; ``state`` and ``clock``
-    hold only the trials still running, in their original order."""
+    """Final-state counts of ``size`` trials.
+
+    ``state`` and ``clock`` hold only the trials still running, in their
+    original order; a one-entry ``state`` before the first holding time
+    stands for every trial.  ``running`` counts them per state, and a round
+    adds the ones that settle as ``running`` minus the survivors' count."""
     n_states = exit_rates.size
+    absorbing = exit_rates <= 0.0
+    neg_rates = -exit_rates
     counts = np.zeros(n_states, dtype=np.int64)
-    state = init_ids[(init_cum < rng.random(size)[:, None]).sum(axis=1)]
-    clock = np.zeros(size)
+    if init_ids.size == 1:
+        # one initial state: its uniforms cannot change an outcome, so skip
+        # them.  A batch's Philox is fresh, its buffer empty, and a double
+        # takes one 64-bit output, a quarter of one counter step.
+        rng.bit_generator.advance(size // 4)
+        rng.random(size % 4)
+        state = init_ids
+        running = np.bincount(init_ids, minlength=n_states) * size
+    else:
+        state = init_ids[(init_cum < rng.random(size)[:, None]).sum(axis=1)]
+        running = np.bincount(state, minlength=n_states)
+    clock = None
     for _ in range(JUMP_ROUND_CAP):
-        rates = exit_rates[state]
-        absorbing = rates <= 0.0
-        counts += np.bincount(state[absorbing], minlength=n_states)
-        state, clock, rates = state[~absorbing], clock[~absorbing], rates[~absorbing]
-        if not state.size:
+        if running[absorbing].any():
+            counts[absorbing] += running[absorbing]
+            running[absorbing] = 0
+            keep = np.flatnonzero(~absorbing[state])
+            state = state[keep]
+            if clock is not None:
+                clock = clock[keep]
+        if not running.any():
             return counts
-        clock += -np.log1p(-rng.random(state.size)) / rates
-        done = clock >= t
-        counts += np.bincount(state[done], minlength=n_states)
-        state, clock = state[~done], clock[~done]
+        # -log1p(-u)/rate, in place: the sign moves into the divisor
+        hold = rng.random(running.sum())
+        np.log1p(np.negative(hold, out=hold), out=hold)
+        hold /= neg_rates[state]
+        clock = hold if clock is None else clock + hold  # 0.0 + h is h for h >= +0
+        live = np.flatnonzero(clock < t)
+        state, clock = np.broadcast_to(state, clock.shape)[live], clock[live]
+        counts += running - np.bincount(state, minlength=n_states)
         if not state.size:
             return counts
         choice = (succ_cum[state] < rng.random(state.size)[:, None]).sum(axis=1)
         state = succ_ids[state, choice]
+        running = np.bincount(state, minlength=n_states)
     raise NumericFailureError(
         f"simulation to t = {t:g} is still jumping after {JUMP_ROUND_CAP} rounds"
     )

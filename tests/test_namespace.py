@@ -57,6 +57,17 @@ class TestImportFootprint:
             "assert not loaded, loaded\n"
         )
 
+    def test_from_package_import_cli(self):
+        # the import system asks the package for ``cli`` before it loads it
+        run_fresh(
+            "import sys\n"
+            "from depmark import cli\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+            "loaded = {'depmark.solve', 'depmark.analysis', 'depmark.simulate'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "assert callable(cli.main)\n"
+        )
+
 
 class TestLazyNamespace:
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracle_expm
+import reference_batch
 import depmark
 from depmark import BATCH_SIZE, SimulationResult, Z99, build_generator, simulate
 
@@ -211,3 +212,114 @@ class TestGoldenCounts:
     def test_two_initial_states(self):
         res = simulate(depmark.parse(self.THREE), 3.0, 10_000, seed=5)
         assert res.counts.tolist() == [3581, 3049, 3370]
+
+    # recorded before the batches counted settled trials per state and
+    # skipped the draws of a single initial state
+    def test_two_initial_states_one_absorbing(self):
+        chain = depmark.parse(
+            'state 1 "a" class = operational;\n'
+            'state 2 "b" class = fail_safe;\n'
+            "trans 1 -> 2 rate = 0.5;\n"
+            "init 1 = 0.5; init 2 = 0.5;\n"
+        )
+        res = simulate(chain, 2.0, 70_001, seed=9)
+        assert res.counts.tolist() == [12692, 57309]
+
+    def test_dfwcs_pid(self, dfwcs_pid):
+        res = simulate(dfwcs_pid, 4380.0, 200_000, seed=11)
+        assert res.counts.tolist() == [0, 0, 0, 199791, 27, 0, 182]
+
+    def test_dfwcs_long_mission(self, dfwcs):
+        res = simulate(dfwcs, 1e7, 70_000, seed=4)
+        assert res.counts.tolist() == [2575, 2, 0, 0, 0, 0, 67423]
+
+
+class TestPhiloxAdvance:
+    """A batch with one initial state skips its initial uniforms by
+    advancing the Philox counter by k // 4 steps and drawing k % 4
+    doubles; that must leave a fresh generator where k doubles do."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 16960, 65535, 65536])
+    def test_advance_then_draw_equals_drawing(self, k):
+        def fresh():
+            return np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+
+        drawn, skipped = fresh(), fresh()
+        drawn.random(k)
+        skipped.bit_generator.advance(k // 4)
+        skipped.random(k % 4)
+        a, b = drawn.bit_generator.state, skipped.bit_generator.state
+        assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+        assert a["buffer_pos"] == b["buffer_pos"]
+        # the spent front of the buffer is never read again (advance zeroes
+        # it, drawing leaves the last block there); the rest must agree
+        pos = a["buffer_pos"]
+        assert np.array_equal(a["buffer"][pos:], b["buffer"][pos:])
+        assert (a["has_uint32"], a["uinteger"]) == (b["has_uint32"], b["uinteger"])
+        assert np.array_equal(drawn.random(9), skipped.random(9))
+
+
+def random_chain(case: int) -> tuple[depmark.MarkovModel, float, int, int]:
+    """A seeded random chain and a run of it: 1-8 states, rates over six
+    decades, about a third of the states absorbing, 1-3 initial states, a
+    mission time (sometimes zero) and a trial count that may cross
+    BATCH_SIZE."""
+    rng = np.random.default_rng([2026, case])
+    n = int(rng.integers(1, 9))
+    lines = ['state 1 "s1" class = operational;']
+    lines += [f'state {i} "s{i}" class = fail_safe;' for i in range(2, n + 1)]
+    exit_rates = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        if rng.random() < 0.3:
+            continue
+        for j in range(1, n + 1):
+            if j != i and rng.random() < 0.5:
+                rate = float(10.0 ** rng.uniform(-3.0, 3.0))
+                exit_rates[i] += rate
+                lines.append(f"trans {i} -> {j} rate = {rate!r};")
+    starts = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    # eighths add up to exactly 1
+    cuts = np.sort(rng.choice(np.arange(1, 8), size=starts.size - 1, replace=False))
+    for sid, eighths in zip(starts, np.diff([0, *cuts, 8])):
+        lines.append(f"init {sid} = {float(eighths) / 8!r};")
+    start_rate = exit_rates[starts].max()
+    if rng.random() < 0.1 or not start_rate:
+        t = 0.0
+    else:  # about one holding time of the initial states, at most 30 of the fastest
+        t = float(min(10.0 ** rng.uniform(-1.0, 1.0) / start_rate, 30.0 / exit_rates.max()))
+    trials = int(rng.choice([1, 5, 997, 20_001, BATCH_SIZE + 999, 2 * BATCH_SIZE + 3]))
+    return depmark.parse("\n".join(lines) + "\n"), t, trials, int(rng.integers(2**63))
+
+
+DIFFERENTIAL_CASES = range(60)
+
+
+class TestDifferential:
+    """On random chains the batch loop gives the counts of the reference
+    loop in ``tests/reference_batch.py`` bit for bit."""
+
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    def test_counts_equal_reference_loop(self, case, monkeypatch):
+        model, t, trials, seed = random_chain(case)
+        counts = simulate(model, t, trials, seed).counts.tolist()
+        sim_module = importlib.import_module("depmark.simulate")
+        monkeypatch.setattr(sim_module, "_run_batch", reference_batch._run_batch)
+        assert simulate(model, t, trials, seed).counts.tolist() == counts
+
+    def test_cases_cover_the_branches(self):
+        runs = [random_chain(case) for case in DIFFERENTIAL_CASES]
+        sizes = {model.n for model, *_ in runs}
+        assert 1 in sizes and 8 in sizes
+        assert any(t == 0.0 for _, t, _, _ in runs)
+        assert any(trials > BATCH_SIZE for _, _, trials, _ in runs)
+        starts = [np.flatnonzero(model.initial_vector()) for model, *_ in runs]
+        exits = [-np.diag(build_generator(model).entries) for model, *_ in runs]
+        assert any(s.size == 1 for s in starts) and any(s.size == 3 for s in starts)
+        assert any(s.size > 1 and (e[s] == 0.0).any() for s, e in zip(starts, exits))
+        assert any(s.size == 1 and e[s[0]] == 0.0 for s, e in zip(starts, exits))
+        # a single initial state skips the draws of a batch whose size is
+        # not a multiple of 4
+        assert any(
+            s.size == 1 and trials % 4 and trials > 100 and t > 0.0
+            for s, (_, t, trials, _) in zip(starts, runs)
+        )
