@@ -23,16 +23,15 @@ __version__ = "0.1.0"
 #: The submodules whose ``__all__`` lists, in this order, are the public names.
 _MODULES = ("model", "lang", "solve", "analysis", "simulate")
 
-#: Submodules that export nothing: ``from depmark import cli`` probes the
-#: package for the name before it loads the submodule.
-_UNLISTED = ("cli", "__main__")
-
 
 def __getattr__(name):
     if name in _MODULES:  # loading it binds it, or its function simulate, here
         importlib.import_module(f"{__name__}.{name}")
         return globals()[name]
-    if name in _UNLISTED:
+    # ``cli`` and the dunders (``__main__``, ``__wrapped__``) are in no
+    # ``__all__``: ``from depmark import cli`` and probes such as
+    # ``inspect.unwrap`` ask for them without loading every module to learn it
+    if name == "cli" or name.startswith("__") and name.endswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)  # loaded in turn
     if name == "__all__":

@@ -25,12 +25,11 @@ grid of times at once; a grid is one generator at many times and a sweep
 many generators at one time.  Uniformization computes the Poisson windows
 of many L*t at once (each anchored at its mode and extended by a
 cumulative product along the term axis) and takes the rows from the end in
-chunks.  Each chunk is sized from its own rows' L*t: its windows, its
-(terms, rows, n) weighted terms and the power blocks of all but one of its
-generators hold at most ``_CHUNK_FLOATS`` floats, or the chunk is one row.
-A chunk reads a block of powers p0 (I + Q/L)^k of its generators, sized by
-its widest window rounded up to a power of two, filled by stacked doubling
-in ceil(log2(end)) products, and kept while the next chunk fits it; the
+chunks whose windows and (terms, rows, n) weighted terms hold at most
+``_CHUNK_FLOATS`` floats, or of one row.  A chunk reads a ring of powers
+p0 (I + Q/L)^k per generator that spans its windows, from term 0 by stacked
+doubling or, further out, lifted by the squarings of the terms' higher
+bits: its size follows the windows and the chunk budget, not L*t.  The
 terms are summed in term order.  ``MATRIX_EXP`` exponentiates stacks of
 Q t.  Euler and the literal mode march each generator once from 0 to the
 last grid time over the step lattice, where each time is a whole number of
@@ -142,8 +141,8 @@ class MassDefectReport:
 # --------------------------------------------------------------------------
 # uniformization
 
-#: Hard cap on the rows of the uniformization power block (a power of two
-#: at least as long as the widest series), checked before allocating it.
+#: Hard cap on the terms of a uniformization series: no window may end past
+#: it, checked before its powers are made.
 UNIFORMIZATION_TERM_CAP = 10_000_000
 #: Hard cap on the steps of one Euler or literal march (a remainder step
 #: counts as one), checked before any stepping or allocation.
@@ -151,9 +150,8 @@ EULER_STEP_CAP = 1_000_000
 
 _BAND = 1e-9  # tolerated numeric undershoot before clamping
 _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
-#: Floats in one uniformization chunk beyond one generator's power block:
-#: its windows, its (terms, rows, n) weighted powers and the power blocks of
-#: its other generators.
+#: Floats in the windows and (terms, rows, n) weighted powers of one
+#: uniformization chunk of several rows.
 _CHUNK_FLOATS = 1 << 16
 #: Times per stack of matrix exponentials: scipy takes them one by one, so
 #: a longer stack saves no work, only per-call overhead.
@@ -241,14 +239,6 @@ def _first_span(q):
     return 16 + np.floor(8.0 * np.sqrt(q))
 
 
-def _chunk_floats(n: int, rows, width, gens, end):
-    """Floats that ``rows`` rows of ``gens`` generators of n states hold
-    beyond one power block: windows and weighted terms ``width`` wide, and
-    the other generators' blocks of the power of two >= ``end`` rows.
-    Takes numbers or arrays."""
-    return rows * width * (n + 1) + (gens - 1) * np.exp2(np.ceil(np.log2(end))) * n
-
-
 def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
     """One row of :func:`_poisson_windows`: (lo, weights) with
     weights[k - lo] = e^-q q^k / k! over the window."""
@@ -256,28 +246,39 @@ def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
     return int(lo[0]), weights[0].tolist()
 
 
-def _power_block(p0: np.ndarray, stochs: np.ndarray, end: int) -> np.ndarray:
-    """Row j * size + k is p0 S_j^k, for the matrices S_j of a (g, n, n)
-    stack and k below the power of two ``size`` >= ``end``, by stacked
-    doubling: rows [m, 2m) of each S are its rows [0, m) times S^m.  Level
-    shapes depend on ``size`` alone and a stacked product equals the 2-D one
-    slice by slice, so a row depends on its k and S alone."""
-    size = 1 << (end - 1).bit_length()
-    if size > UNIFORMIZATION_TERM_CAP:
-        raise NumericFailureError(
-            f"uniformization needs a block of {size} powers for {end} series terms, "
-            f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
-        )
-    powers = np.empty((len(stochs), size, len(p0)))
-    powers[:, 0] = p0
-    jump = stochs
-    m = 1
+def _power_ring(p0: np.ndarray, stochs: np.ndarray, base: np.ndarray, size: int, end: int) -> np.ndarray:
+    """Row j * size + i is p0 S_j^(base[j] + i) for the matrices S_j of a
+    (g, n, n) stack and each term below ``end``: stacked doubling makes the
+    powers below the power of two ``size`` >= 2 in the shapes of a block from
+    term 0, then each higher bit m of a term, lowest first, multiplies its
+    row by S^m in a product over the whole ring (a lone row may round
+    otherwise).  So a row's bits depend on its term and S alone."""
+    g, n = len(stochs), len(p0)
+    ring = np.empty((g * size, n))
+    stack = ring.reshape(g, size, n)
+    stack[:, 0] = p0
+    jump, m = stochs, 1
     while m < size:
         if m > 1:
             jump = jump @ jump
-        np.matmul(powers[:, :m], jump, out=powers[:, m:2 * m])
+        np.matmul(stack[:, :m], jump, out=stack[:, m:2 * m])
         m *= 2
-    return powers.reshape(-1, len(p0))
+    if m < end:
+        # row j * size + i takes term base[j] + i from its slot, the term mod size
+        terms = base[:, np.newaxis] + np.arange(size)
+        ring = ring.take((terms % size + size * np.arange(g)[:, np.newaxis]).ravel(), axis=0)
+        terms, lifted = terms.ravel(), np.empty_like(ring)
+        while m < end:
+            jump = jump @ jump
+            lift = terms & m > 0
+            if lift.any():
+                np.matmul(ring.reshape(g, size, n), jump, out=lifted.reshape(g, size, n))
+                if lift.all():
+                    ring, lifted = lifted, ring
+                else:
+                    np.copyto(ring, lifted, where=lift[:, np.newaxis])
+            m *= 2
+    return ring
 
 
 def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
@@ -296,55 +297,51 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
             f"beyond the cap of {UNIFORMIZATION_TERM_CAP}"
         )
 
-    # rows with L*t > 0 are taken from the end in chunks, each read against
-    # a block of powers p0 (I + Q/L)^k of its generators (Q/1 if L = 0, to
-    # keep them finite).  The first chunk, the last row alone, sizes a grid's
-    # block by its widest window; each later one takes the most rows back
-    # from where the last began that fit _CHUNK_FLOATS by the width and end
-    # bounds of their own windows while the first span holds (costs rise
-    # with the rows, so the rows that fit are a prefix, and none costs less
-    # than (n + 1) * min(widths) floats); if its windows widened past the
-    # bounds, it is halved until they fit.  A block is kept while the
-    # generators match and no window ends past it, else freed, then rebuilt.
+    # rows with L*t > 0 are taken from the end in chunks: the most rows back
+    # whose windows fit _CHUNK_FLOATS by the first span's width bounds, then
+    # halved while the windows widened past them.  A chunk reads a ring of
+    # powers p0 (I + Q/L)^k of each generator (Q/1 if L = 0, to keep them
+    # finite) that spans its rows' windows and ends at the last term.  Only
+    # a one-generator chunk can have the generators of the one before; a
+    # grid keeps its ring while the windows stay inside, else frees it.
     out = np.zeros((len(qs), n))
     live = np.flatnonzero(qs)
     modes, spans = np.floor(qs[live]), _first_span(qs[live])
-    widths, ends = np.minimum(modes, spans) + spans + 1, modes + spans
+    widths = np.minimum(modes, spans) + spans + 1
     reach = _CHUNK_FLOATS // ((n + 1) * int(widths.min(initial=_CHUNK_FLOATS))) + 1
     scales = np.where(rates > 0.0, rates, 1.0)[:, np.newaxis, np.newaxis]
-    powers, held, size = None, None, 0
+    ring, held, bases, size = None, None, None, 0
     stop, rows = len(live), 1
     while stop > 0:
         while True:
             chunk = live[stop - rows:stop]
             first, end, weights = _poisson_windows(qs[chunk], config.eps)
-            need = max(end.tolist())
-            local = chunk // times
-            lo, hi = int(local[0]), int(local[-1]) + 1
-            if rows == 1 or _chunk_floats(n, rows, weights.shape[1], hi - lo, need) <= _CHUNK_FLOATS:
+            if rows == 1 or rows * weights.shape[1] * (n + 1) <= _CHUNK_FLOATS:
                 break
             rows //= 2
+        need = max(end.tolist())
+        if need > UNIFORMIZATION_TERM_CAP:
+            raise NumericFailureError(f"uniformization needs {need} terms, beyond the cap of {UNIFORMIZATION_TERM_CAP}")
+        local = chunk // times
+        lo, hi = int(local[0]), int(local[-1]) + 1
         local -= lo
-        if need > size or held != (lo, hi):
-            powers, held = None, (lo, hi)
-            powers = _power_block(p0, np.eye(n) + gens[lo:hi] / scales[lo:hi], need)
-            size = len(powers) // (hi - lo)
-        # (terms, rows, n), summed over the terms in order, not by BLAS,
-        # whose order varies by build.  Zero weights pad the windows; the
-        # rows they read (clipped, or another generator's) are finite, so
-        # they add exact zeros
-        ks = (local * size + first) + np.arange(weights.shape[1])[:, np.newaxis]
-        terms = powers.take(ks, axis=0, mode="clip")
+        if held != (lo, hi) or max(min(first.tolist()), 0) < bases[0] or need > bases[0] + size:
+            ring, held = None, (lo, hi)
+            tops = np.zeros(hi - lo, dtype=int)
+            np.maximum.at(tops, local, end)
+            size = 1 << max(1, int((tops[local] - np.maximum(first, 0)).max() - 1).bit_length())
+            bases = np.maximum(tops - size, 0)
+            ring = _power_ring(p0, np.eye(n) + gens[lo:hi] / scales[lo:hi], bases, size, need)
+        # (terms, rows, n), summed over the terms in order, not by BLAS, whose
+        # order varies by build; the zero weights that pad the windows read
+        # finite rows (clipped, or another term's), so they add exact zeros
+        ks = (local * size + first - bases[local]) + np.arange(weights.shape[1])[:, np.newaxis]
+        terms = ring.take(ks, axis=0, mode="clip")
         terms *= weights.T[:, :, np.newaxis]
         out[chunk] = terms.sum(axis=0)
         stop -= rows
-        tail = slice(max(0, stop - reach), stop)
-        spread = live[stop - 1] // times - live[tail][::-1] // times + 1
-        fits = _chunk_floats(
-            n, np.arange(1, len(spread) + 1), np.maximum.accumulate(widths[tail][::-1]), spread,
-            np.maximum.accumulate(ends[tail][::-1]),
-        ) <= _CHUNK_FLOATS
-        rows = max(1, int(np.count_nonzero(fits)))
+        bounds = np.maximum.accumulate(widths[max(0, stop - reach):stop][::-1])
+        rows = max(1, int(np.count_nonzero(np.arange(1, len(bounds) + 1) * bounds <= _CHUNK_FLOATS // (n + 1))))
     # rows with L*t = 0 are the initial vector, which is not clamped
     _finalize(out)
     out[qs == 0.0] = p0

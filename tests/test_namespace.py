@@ -68,6 +68,18 @@ class TestImportFootprint:
             "assert callable(cli.main)\n"
         )
 
+    def test_dunder_probe_loads_nothing(self):
+        # inspect.unwrap and mocking libraries probe names such as
+        # ``__wrapped__`` that no submodule exports
+        run_fresh(
+            "import inspect, sys, depmark\n"
+            "assert not hasattr(depmark, '__wrapped__')\n"
+            "assert inspect.unwrap(depmark) is depmark\n"
+            "assert [m for m in sys.modules if m.startswith('depmark.')] == [], sorted(sys.modules)\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+            "assert '__version__' in depmark.__all__\n"
+        )
+
 
 class TestLazyNamespace:
     @pytest.mark.parametrize(

@@ -620,11 +620,11 @@ class TestGridArrays:
 
     def test_wider_earlier_chunk_rebuilds_block(self, dfwcs, monkeypatch):
         # pad the window of t = 1 (L*t < 1) with zero terms so that it ends
-        # past the block sized for t = 4380; the padding must not change a bit
+        # past the ring built for t = 4380; the padding must not change a bit
         plain = [solve_at(dfwcs, UNI, t) for t in (1.0, 4380.0)]
         windows = solve_module._poisson_windows
-        block = solve_module._power_block
-        sizes = []
+        ring = solve_module._power_ring
+        rings = []
 
         def padded(qs, eps):
             first, end, weights = windows(qs, eps)
@@ -633,15 +633,14 @@ class TestGridArrays:
                 weights = np.pad(weights, ((0, 0), (0, 300)))
             return first, end, weights
 
-        def counted(p0, stoch, end):
-            powers = block(p0, stoch, end)
-            sizes.append(len(powers))
-            return powers
+        def counted(p0, stochs, base, size, end):
+            rings.append((base.tolist(), size))
+            return ring(p0, stochs, base, size, end)
 
         monkeypatch.setattr(solve_module, "_poisson_windows", padded)
-        monkeypatch.setattr(solve_module, "_power_block", counted)
+        monkeypatch.setattr(solve_module, "_power_ring", counted)
         traj = solve_grid(dfwcs, UNI, [1.0, 4380.0])
-        assert sizes == [256, 512]
+        assert rings == [([0], 256), ([0], 512)]
         for row, expected in zip(traj.probs, plain):
             assert np.array_equal(row, expected)
 
@@ -772,38 +771,43 @@ class TestStacks:
     )
 
     def _record_chunks(self, monkeypatch):
-        """Record (rows, width) of every window call and (generators, end)
-        of every power block the uniformization kernel makes."""
-        windows, blocks = [], []
-        poisson_windows, power_block = solve_module._poisson_windows, solve_module._power_block
+        """Record (rows, width) of every window call and (generators, size,
+        bases, window calls before it) of every power ring the
+        uniformization kernel makes."""
+        windows, rings = [], []
+        poisson_windows, power_ring = solve_module._poisson_windows, solve_module._power_ring
 
         def record_windows(qs, eps):
             first, end, weights = poisson_windows(qs, eps)
             windows.append(weights.shape)
             return first, end, weights
 
-        def record_block(p0, stochs, end):
-            blocks.append((len(stochs), end))
-            return power_block(p0, stochs, end)
+        def record_ring(p0, stochs, base, size, end):
+            rings.append((len(stochs), size, base.tolist(), len(windows)))
+            return power_ring(p0, stochs, base, size, end)
 
         monkeypatch.setattr(solve_module, "_poisson_windows", record_windows)
-        monkeypatch.setattr(solve_module, "_power_block", record_block)
-        return windows, blocks
+        monkeypatch.setattr(solve_module, "_power_ring", record_ring)
+        return windows, rings
 
     def test_chunks_fit_the_budget_when_l_falls_along_a_sweep(self, monkeypatch):
         # each chunk is sized from its own rows: a chunk after the tiny-L
-        # last value may not take the wide windows and big blocks before it
+        # last value may not take the wide windows before it, and its rings
+        # follow its own windows, not the L*t of the widest
         model = parse(self.FALLING)
         values = [k / 100.0 for k in range(101)]
-        windows, blocks = self._record_chunks(monkeypatch)
+        windows, rings = self._record_chunks(monkeypatch)
         rows = depmark.sweep(model, "C", values, 43.8)
         budget = solve_module._CHUNK_FLOATS
-        assert len(blocks) > 1 and max(end for _, end in blocks) > 4096
-        for gens, end in blocks:
-            size = 1 << (end - 1).bit_length()
-            assert (gens - 1) * size * model.n <= budget
+        assert len(rings) > 1 and max(width for _, width in windows) > 900
+        assert any(min(bases) > 0 for _, _, bases, _ in rings)  # lifted past term 0
         for count, width in windows:
             assert count == 1 or count * width * (model.n + 1) <= budget
+        for gens, size, _, made in rings:
+            # a ring serves the chunk of the window call just before it
+            count, width = windows[made - 1]
+            assert gens <= count and size < 2 * width
+            assert gens * size * model.n <= 2 * budget
         monkeypatch.undo()
         for row, value in zip(rows, values):
             alone = solve_at(model.with_params({"C": value}), UNI, 43.8)
