@@ -375,7 +375,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         help="transient solver (default uniformization)",
     )
     parser.add_argument("--eps", type=float, default=1e-12,
-                        help="series truncation bound for uniformization (default 1e-12)")
+                        help="series truncation bound for uniformization, in [1e-300, 1) (default 1e-12)")
     parser.add_argument("--dt", type=float, default=1.0,
                         help="step for the euler and paper-literal methods (default 1)")
 

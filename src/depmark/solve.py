@@ -6,8 +6,8 @@ Four methods:
   summing Poisson-weighted powers of the stochastic matrix I + Q/L.  The
   weights come from a numerically stable recurrence anchored at the mode
   of the Poisson distribution, and the series is truncated once the
-  remaining tail is below the configured ``eps``.  Keeps probabilities
-  nonnegative by construction.
+  remaining tail is below the configured ``eps``, 1e-300 <= eps < 1.
+  Keeps probabilities nonnegative by construction.
 * ``MATRIX_EXP``: dense Pade scaling-and-squaring via SciPy, used as an
   in-package cross-check of the uniformization path.
 * ``EULER``: explicit first-order stepping p_{k+1} = p_k (I + Q dt),
@@ -24,9 +24,10 @@ Every method solves a stack of generators (``build_generators``) on a
 grid of times at once; a grid is one generator at many times and a sweep
 many generators at one time.  Uniformization computes the Poisson windows
 of many L*t at once (each anchored at its mode and extended by a
-cumulative product along the term axis) and takes the rows from the end in
-chunks whose windows and (terms, rows, n) weighted terms hold at most
-``_CHUNK_FLOATS`` floats, or of one row.  A chunk reads a ring of powers
+cumulative product along the term axis, over a span that tail bounds fix in
+advance) and takes the rows from the end in chunks whose windows and
+(terms, rows, n) weighted terms hold at most ``_CHUNK_FLOATS`` floats by
+those bounds, or of one row.  A chunk reads a ring of powers
 p0 (I + Q/L)^k per generator that spans its windows, from term 0 by stacked
 doubling or, further out, lifted by the squarings of the terms' higher
 bits: its size follows the windows and the chunk budget, not L*t.  The
@@ -97,8 +98,8 @@ class SolverConfig:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
+        if not 1e-300 <= self.eps < 1.0:
+            raise ValueError(f"eps must be in [1e-300, 1), got {self.eps!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.horizon is not None and not 0.0 <= self.horizon < math.inf:
@@ -178,9 +179,9 @@ def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     and 0 outside it.  A single row has no padding: first is where its
     window starts.  Each window is anchored at the mode and extended both
     ways by the weight recurrence, taken as a cumulative product along the
-    term axis; the geometric tail bounds keep the neglected mass under
-    eps/2 per side.  A row's bits do not depend on the other rows.
-    """
+    term axis over ``_span`` terms; the geometric tail bounds keep the
+    neglected mass under eps/2 per side, and a stop outside the span is a
+    NumericFailureError.  A row's bits do not depend on the other rows."""
     q_list = qs.tolist()
     qs = qs[:, np.newaxis]
     modes = np.floor(qs)
@@ -190,39 +191,29 @@ def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     # from math, row by row: numpy's vector exp and log may round
     # differently for different batch lengths.
     w_mode = [math.exp(m * math.log(q) - q - math.lgamma(m + 1)) for q in q_list for m in (math.floor(q),)]
-    span = int(_first_span(max(q_list)))
+    span = int(_span(max(q_list), eps))
+    ks = modes + np.arange(-span, span + 2)
+    steps = np.empty_like(ks)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            ks = modes + np.arange(-span, span + 2)
-            steps = np.empty_like(ks)
-            np.divide(ks[:, 1:span + 1], qs, out=steps[:, :span])
-            steps[:, span] = w_mode
-            np.divide(qs, ks[:, span + 1:], out=steps[:, span + 1:])
-            weights = np.empty_like(steps)
-            np.multiply.accumulate(steps[:, span::-1], axis=1, out=weights[:, span::-1])
-            np.multiply.accumulate(steps[:, span:], axis=1, out=weights[:, span:])
-            # a window stops before the first term whose tail, bounded by a
-            # geometric series in the next step, is under eps/4.  Below the
-            # mode that step is the term's own (k + 1) / q: at most 1, so an
-            # integer mode divides by 0 and never stops there, and 0 past
-            # term 0, which always stops.  Beyond that, overflow and NaN
-            # fill columns no window reaches.
-            ratio = 1.0 - steps
-            below = weights[:, span - 1::-1] / ratio[:, span - 1::-1] < eps / 4.0
-            above = weights[:, span + 1:-1] / ratio[:, span + 2:] < eps / 4.0
-            # the last column stands in for a stop beyond the span: widen then
-            below[:, -1] = above[:, -1] = True
-            n_below = below.argmax(axis=1)
-            n_above = above.argmax(axis=1)
-            widest_below, widest_above = max(n_below.tolist()), max(n_above.tolist())
-            if max(widest_below, widest_above) < span - 1:
-                break
-            if span > UNIFORMIZATION_TERM_CAP:
-                raise NumericFailureError(
-                    f"uniformization series for L*t = {max(q_list):g} does not truncate within "
-                    f"{UNIFORMIZATION_TERM_CAP} terms at eps = {eps:g}"
-                )
-            span = min(2 * span, UNIFORMIZATION_TERM_CAP + 1)
+        np.divide(ks[:, 1:span + 1], qs, out=steps[:, :span])
+        steps[:, span] = w_mode
+        np.divide(qs, ks[:, span + 1:], out=steps[:, span + 1:])
+        weights = np.empty_like(steps)
+        np.multiply.accumulate(steps[:, span::-1], axis=1, out=weights[:, span::-1])
+        np.multiply.accumulate(steps[:, span:], axis=1, out=weights[:, span:])
+        # a window stops before the first term whose tail, bounded by a
+        # geometric series in the next step, is under eps/4.  Below the mode
+        # that step is the term's own (k + 1) / q: at most 1, so an integer
+        # mode divides by 0 and never stops there, and 0 past term 0, which
+        # always stops.  Beyond that, overflow and NaN fill columns no
+        # window reaches.
+        ratio = 1.0 - steps
+        below = weights[:, span - 1::-1] / ratio[:, span - 1::-1] < eps / 4.0
+        above = weights[:, span + 1:-1] / ratio[:, span + 2:] < eps / 4.0
+    if not (below.any(axis=1) & above.any(axis=1)).all():
+        raise NumericFailureError(f"a Poisson window does not stop within {span} terms of its mode at eps = {eps:g}")
+    n_below, n_above = below.argmax(axis=1), above.argmax(axis=1)
+    widest_below, widest_above = max(n_below.tolist()), max(n_above.tolist())
     # keep the columns some window spans, and zero each row outside its
     # own (a single row spans exactly its own)
     weights = weights[:, span - widest_below:span + widest_above + 1]
@@ -233,10 +224,23 @@ def _poisson_windows(qs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     return mode_terms - widest_below, mode_terms + n_above + 1, weights
 
 
-def _first_span(q):
-    """Terms each side of the mode that the window of Poisson(q) is first
-    sought in (q a float or an array); small eps may widen it."""
-    return 16 + np.floor(8.0 * np.sqrt(q))
+def _span(q, eps: float):
+    """Terms each side of the mode that hold both stops of every Poisson(q)
+    window at ``eps`` (q a float or an array), bounded a priori as Fox &
+    Glynn bound theirs.  Above the mode, Bernstein's inequality bounds the
+    weight of term k = q + x by exp(-x^2 / (2 (q + x/3))), and the stop
+    test's factor 1 / (1 - q/(k + 1)) is at most 1 + q/x.  With a further
+    factor e for rounding, the test passes once x^2 / (2 (q + x/3)) >= lam
+    = ln(4/eps) + 1 + ln(1 + q/x0), so from x = lam/3 + sqrt(lam^2/9 + 2 q
+    lam) on, where x0 is that root without the last term of lam; that stop
+    is at most ceil(x) + 1 terms past the mode floor(q).  Below the mode,
+    exp(-x^2 / (2q)) with factor q/(x - 1) needs less, and term -1 always
+    stops.  Below eps ~ 1e-305 the weights at a stop are subnormal and may
+    stop shrinking, so ``SolverConfig`` refuses eps < 1e-300."""
+    lam = math.log(4.0) - math.log(eps) + 1.0
+    x0 = lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)
+    lam = lam + np.log1p(q / x0)
+    return np.ceil(lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)) + 3
 
 
 def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
@@ -289,7 +293,7 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
     qs = (rates[:, np.newaxis] * np.asarray(grid, dtype=float)).ravel()
 
     # every window ends past floor(L*t), so absurd horizons fail here,
-    # before _poisson_windows walks their series
+    # before a span of their terms is allocated
     q_max = float(qs.max(initial=0.0))
     if q_max >= UNIFORMIZATION_TERM_CAP:
         raise NumericFailureError(
@@ -298,27 +302,23 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
         )
 
     # rows with L*t > 0 are taken from the end in chunks: the most rows back
-    # whose windows fit _CHUNK_FLOATS by the first span's width bounds, then
-    # halved while the windows widened past them.  A chunk reads a ring of
-    # powers p0 (I + Q/L)^k of each generator (Q/1 if L = 0, to keep them
-    # finite) that spans its rows' windows and ends at the last term.  Only
-    # a one-generator chunk can have the generators of the one before; a
-    # grid keeps its ring while the windows stay inside, else frees it.
+    # whose windows fit _CHUNK_FLOATS by the widths _span bounds them by.  A
+    # chunk reads a ring of powers p0 (I + Q/L)^k of each generator (Q/1 if
+    # L = 0, to keep them finite) that spans its rows' windows and ends at
+    # the last term.  Only a one-generator chunk can have the generators of
+    # the one before; a grid keeps its ring while the windows stay inside,
+    # else frees it.
     out = np.zeros((len(qs), n))
     live = np.flatnonzero(qs)
-    modes, spans = np.floor(qs[live]), _first_span(qs[live])
+    modes, spans = np.floor(qs[live]), _span(qs[live], config.eps)
     widths = np.minimum(modes, spans) + spans + 1
     reach = _CHUNK_FLOATS // ((n + 1) * int(widths.min(initial=_CHUNK_FLOATS))) + 1
     scales = np.where(rates > 0.0, rates, 1.0)[:, np.newaxis, np.newaxis]
     ring, held, bases, size = None, None, None, 0
     stop, rows = len(live), 1
     while stop > 0:
-        while True:
-            chunk = live[stop - rows:stop]
-            first, end, weights = _poisson_windows(qs[chunk], config.eps)
-            if rows == 1 or rows * weights.shape[1] * (n + 1) <= _CHUNK_FLOATS:
-                break
-            rows //= 2
+        chunk = live[stop - rows:stop]
+        first, end, weights = _poisson_windows(qs[chunk], config.eps)
         need = max(end.tolist())
         if need > UNIFORMIZATION_TERM_CAP:
             raise NumericFailureError(f"uniformization needs {need} terms, beyond the cap of {UNIFORMIZATION_TERM_CAP}")
@@ -517,18 +517,11 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> _LiteralRates:
         (rate(4, 5), 2.0 * lam3),
         (rate(5, 6), 2.0 * lam4),
     ]
-    c: float | None = None
-    for detected, total in groups:
-        if total > 0.0:
-            c = detected / total
-            break
-    if c is None:
-        c = 1.0  # all failure rates zero: coverage is irrelevant
+    # the first group that fails at all fixes C; if none does, C is irrelevant
+    c = next((detected / total for detected, total in groups if total > 0.0), 1.0)
     for detected, total in groups:
         if total > 0.0 and not _close(detected, total * c):
-            raise ShapeMismatchError(
-                "failure transitions do not share a single detection coverage"
-            )
+            raise ShapeMismatchError("failure transitions do not share a single detection coverage")
     return _LiteralRates(lam1, lam2, lam3, lam4, c, mu)
 
 

@@ -178,6 +178,18 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_eps_floor_exits_2(self, capsys):
+        # a subnormal eps is refused before any window is sought
+        code, out, err = run(capsys, "solve", DFWCS, "--at", "4380", "--eps", "5e-324")
+        assert code == 2
+        assert out == "" and "eps must be in [1e-300, 1)" in err
+        code, out, _ = run(capsys, "solve", DFWCS, "--at", "4380", "--eps", "1e-300")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "4380,0.998342135,0.000213485477,2.2823427e-08,0,0,2.89785061e-10,0.00144435591,"
+            "0.998555644,0.998555644,2.89785061e-10,0.00144435591"
+        )
+
     def test_state_cap_exits_3(self, capsys, monkeypatch):
         # dfwcs has 7 states: at a cap of 7 it solves, at 6 it is refused
         monkeypatch.setattr(depmark.model, "STATE_CAP", 7)
