@@ -34,14 +34,11 @@ import io
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .lang import ModelParseError, parse
-from .model import DepmarkError, MarkovModel, Method, NumericFailureError, StepTooLargeError, validate
-
-if TYPE_CHECKING:  # the numerical modules load in the handlers that use them
-    from .solve import SolverConfig
+from .model import DepmarkError, MarkovModel, Method, NumericFailureError, SolverConfig, StepTooLargeError, validate
 
 __all__ = ["main"]
 
@@ -222,7 +219,6 @@ def _cmd_validate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    from .solve import SolverConfig
     return SolverConfig(
         method=Method.from_name(args.method),
         eps=args.eps,
@@ -231,13 +227,13 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    config = _solver_config(args)  # a bad --eps or --dt is refused before numpy loads
     from .analysis import export_timeseries
     from .solve import solve_grid, solve_paper_literal
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
     model, digest, overrides = loaded
-    config = _solver_config(args)
 
     if args.grid is not None:
         grid = _parse_grid(args.grid)
@@ -262,12 +258,12 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    config = _solver_config(args)
     from .analysis import sweep
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
     model, digest, overrides = loaded
-    config = _solver_config(args)
     values = _parse_values(args.values)
 
     results = sweep(model, args.param, values, args.at, config)

@@ -97,6 +97,31 @@ class Method(Enum):
         raise ValueError(f"unknown solver method {name!r}")
 
 
+@dataclass(frozen=True, slots=True)
+class SolverConfig:
+    """Solver selection and tuning knobs (exported by solve; numpy-free, so
+    the CLI refuses a bad value before it loads numpy or a model).
+
+    ``eps`` bounds the truncation error of the uniformization series;
+    ``dt`` is the step of the Euler and literal modes; ``horizon`` is the
+    default end time for the literal mode (falling back to the model's
+    ``option horizon`` and then to six months).
+    """
+
+    method: Method = Method.UNIFORMIZATION
+    eps: float = 1e-12
+    dt: float = 1.0
+    horizon: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 1e-300 <= self.eps < 1.0:
+            raise ValueError(f"eps must be in [1e-300, 1), got {self.eps!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if self.horizon is not None and not 0.0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon!r}")
+
+
 class StateClass(Enum):
     """Service classification of a state."""
 

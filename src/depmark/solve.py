@@ -31,11 +31,15 @@ those bounds, or of one row.  A chunk reads a ring of powers
 p0 (I + Q/L)^k per generator that spans its windows, from term 0 by stacked
 doubling or, further out, lifted by the squarings of the terms' higher
 bits: its size follows the windows and the chunk budget, not L*t.  The
-terms are summed in term order.  ``MATRIX_EXP`` exponentiates stacks of
-Q t.  Euler and the literal mode march each generator once from 0 to the
-last grid time over the step lattice, where each time is a whole number of
-dt steps plus, off the lattice, a remainder step that Euler takes on that
-row alone and the literal mode refuses.  ``solve_at`` is row 0 of a
+terms are summed in term order.  ``MATRIX_EXP`` exponentiates chunks of
+Q t: each slice gets the compiled Pade step of SciPy's expm (Al-Mohy &
+Higham 2009) through its private kernels, verified on SciPy 1.17.1, and the
+chunk's squarings are stacked products; the slices SciPy would treat as
+diagonal or triangular, a lone slice, or all of them where the kernels are
+missing, take the public scipy.linalg.expm.  Euler and the literal mode march each
+generator once from 0 to the last grid time over the step lattice, where
+each time is a whole number of dt steps plus, off the lattice, a remainder
+step that Euler takes on that row alone and the literal mode refuses.  ``solve_at`` is row 0 of a
 one-point grid, and every row equals it bit for bit: a power, a window or
 an exponential never depends on the other rows, and the zero weights that
 pad a window add exact zeros.  Only ``MATRIX_EXP`` imports SciPy.  Runaway
@@ -58,6 +62,7 @@ from .model import (
     NumericFailureError,
     SIX_MONTHS_HOURS,
     StateClass,
+    SolverConfig,
     StepTooLargeError,
     build_generator,
     build_generators,
@@ -80,30 +85,6 @@ __all__ = [
 
 class ShapeMismatchError(DepmarkError):
     """The literal update mode was asked to run on a foreign model shape."""
-
-
-@dataclass(frozen=True, slots=True)
-class SolverConfig:
-    """Solver selection and tuning knobs.
-
-    ``eps`` bounds the truncation error of the uniformization series;
-    ``dt`` is the step of the Euler and literal modes; ``horizon`` is the
-    default end time for the literal mode (falling back to the model's
-    ``option horizon`` and then to six months).
-    """
-
-    method: Method = Method.UNIFORMIZATION
-    eps: float = 1e-12
-    dt: float = 1.0
-    horizon: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 1e-300 <= self.eps < 1.0:
-            raise ValueError(f"eps must be in [1e-300, 1), got {self.eps!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.horizon is not None and not 0.0 <= self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +135,9 @@ _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
 #: Floats in the windows and (terms, rows, n) weighted powers of one
 #: uniformization chunk of several rows.
 _CHUNK_FLOATS = 1 << 16
-#: Times per stack of matrix exponentials: scipy takes them one by one, so
-#: a longer stack saves no work, only per-call overhead.
+#: (generator, time) slices per chunk of matrix exponentials: a chunk shares
+#: its squarings, and its length bounds the memory of its stacks (one stack
+#: of a 4381-time grid adds megabytes of peak RSS), not the work.
 _EXPM_ROWS = 64
 
 
@@ -352,17 +334,64 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
 # matrix exponential and Euler
 
 
+def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of each slice of a stack, bit for bit.  A slice with
+    entries both below and above its diagonal (``generic``) takes that
+    branch of SciPy's loop: its own compiled Pade step, the kernels that
+    scipy.linalg.expm calls (private, verified on SciPy 1.17.1), then its
+    squarings, done here as stacked products over the slices that still need
+    one.  The other slices, or all of them where those kernels cannot be
+    imported or take another call form, go through the public function."""
+    import scipy.linalg
+
+    index = np.flatnonzero(generic)
+    pade, squarings = np.empty((len(index), *stack.shape[1:])), np.zeros(len(index), dtype=int)
+    try:
+        from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+        work = np.empty((5, *stack.shape[1:]))  # SciPy's scratch: the step leaves e^(A/2^s) in work[0]
+        for j, i in enumerate(index.tolist()):
+            work[0] = stack[i]
+            m, squarings[j] = pick_pade_structure(work)
+            if m < 0:
+                raise MemoryError(f"scipy.linalg.expm could not allocate its Pade structure (error code {m})")
+            info = pade_UV_calc(work, m)
+            if info != 0:
+                raise (MemoryError if info <= -11 else RuntimeError)(
+                    f"scipy.linalg.expm failed in its Pade step (error code {info})")
+            pade[j] = work[0]
+    except (ImportError, TypeError, ValueError):
+        return scipy.linalg.expm(stack)
+    # fewest squarings first: the slices that need the m-th are a suffix
+    order = np.argsort(squarings, kind="stable")
+    pade = pade[order]
+    for first in np.searchsorted(squarings[order], np.arange(1, squarings.max(initial=0) + 1)).tolist():
+        pade[first:] = np.matmul(pade[first:], pade[first:])
+    exps = np.empty_like(stack)
+    exps[index[order]] = pade
+    if len(index) < len(stack):
+        exps[~generic] = scipy.linalg.expm(stack[~generic])
+    return exps
+
+
 def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
     import scipy.linalg  # deferred: costs more to import than the other methods take to run
 
     p0 = model.initial_vector()
     times = np.asarray(grid, dtype=float)[:, np.newaxis, np.newaxis]
+    if len(gens) * len(grid) == 1:  # a lone slice shares no work, and SciPy's own loop costs less
+        return _finalize(np.matmul(p0, scipy.linalg.expm(gens * times[0]))).reshape(1, 1, model.n)
     out = np.empty((len(gens) * len(grid), model.n))
-    # scipy exponentiates a stack slice by slice, as it would one matrix;
+    # a slice Q t has the band of its Q, which SciPy reads once per slice and
+    # this once per generator, unless t = 0 or a product underflowed to 0;
     # row r pairs generator r // len(grid) with time r % len(grid)
+    full = np.array([min(scipy.linalg.bandwidth(q)) > 0 for q in gens])
+    nonzero = np.count_nonzero(gens, axis=(1, 2))
     for start in range(0, len(out), _EXPM_ROWS):
         g, k = np.divmod(np.arange(start, min(start + _EXPM_ROWS, len(out))), len(grid))
-        np.matmul(p0, scipy.linalg.expm(gens[g] * times[k]), out=out[start:start + len(g)])
+        stack = gens[g] * times[k]
+        generic = full[g] & (np.count_nonzero(stack, axis=(1, 2)) == nonzero[g])
+        np.matmul(p0, _expm_slices(stack, generic), out=out[start:start + len(g)])
     return _finalize(out).reshape(len(gens), len(grid), model.n)
 
 

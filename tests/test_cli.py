@@ -190,6 +190,19 @@ class TestSolve:
             "0.998555644,0.998555644,2.89785061e-10,0.00144435591"
         )
 
+    def test_solver_flags_are_checked_first(self, capsys, tmp_path):
+        # input wrong twice reports the solver flag: the config is built
+        # before the model is read, overridden or validated
+        missing = str(tmp_path / "missing.mdl")
+        for argv in (
+            ["solve", DFWCS, "--at", "1", "--set", "NOPE=1", "--eps", "2"],
+            ["solve", missing, "--at", "1", "--dt", "-1"],
+            ["sweep", DFWCS, "--param", "C", "--values", "0.9", "--at", "1", "--set", "C=7", "--eps", "0"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert ("eps must be" if "--eps" in argv else "dt must be") in err
+
     def test_state_cap_exits_3(self, capsys, monkeypatch):
         # dfwcs has 7 states: at a cap of 7 it solves, at 6 it is refused
         monkeypatch.setattr(depmark.model, "STATE_CAP", 7)

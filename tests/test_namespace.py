@@ -57,6 +57,23 @@ class TestImportFootprint:
             "assert not loaded, loaded\n"
         )
 
+    def test_bad_solver_flag_refused_before_numpy(self):
+        # SolverConfig lives in the numpy-free model module, and solve and
+        # sweep build it before they load anything numerical
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from depmark.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            f"    assert main(['solve', {DFWCS!r}, '--at', '4380', '--eps', '5e-324']) == 2\n"
+            f"    assert main(['solve', {DFWCS!r}, '--at', '4380', '--dt', 'inf']) == 2\n"
+            f"    assert main(['sweep', {DFWCS!r}, '--param', 'C', '--values', '0.9', '--at', '1',"
+            " '--eps', '0']) == 2\n"
+            "assert err.getvalue().count('error: ') == 3, err.getvalue()\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+            "loaded = {'depmark.solve', 'depmark.analysis', 'depmark.simulate'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+
     def test_from_package_import_cli(self):
         # the import system asks the package for ``cli`` before it loads it
         run_fresh(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -844,3 +845,132 @@ class TestStacks:
             message = str(exc.value)
             assert message.endswith(f"in row 300: {block[300]!r}")
             assert len(message) < 300
+
+
+class TestExpmKernels:
+    """``MATRIX_EXP`` runs SciPy's own Pade step on each slice and squares the
+    slices in stacks; the slices SciPy sends down its diagonal or triangular
+    branch, and every slice where the kernels are missing, take the public
+    ``scipy.linalg.expm``.  No route may change a bit."""
+
+    HOURLY = [float(t) for t in range(4381)]
+    KERNELS = "scipy.linalg._matfuncs_expm"
+    # a model whose generator is [[-100, 100], [5e-324, -5e-324]]: at t = 0.4
+    # the second row underflows to 0 while SciPy still squares 4 times; at
+    # t = 0.6 it rounds up to 5e-324
+    UNDERFLOW = (
+        'state 1 "a" class = operational;\nstate 2 "b" class = fail_safe;\n'
+        "trans 1 -> 2 rate = 100;\ntrans 2 -> 1 rate = 5e-324;\n"
+    )
+
+    def _stacks(self, request):
+        dfwcs, toy = request.getfixturevalue("dfwcs"), request.getfixturevalue("toy")
+        mu = [0.0, 0.5, 6.0]  # MU = 0 makes Q upper triangular
+        return {
+            "mu_sweep": ([dfwcs.with_params({"MU": v}) for v in mu], build_generators(dfwcs, "MU", mu), [4380.0]),
+            # 14, 11, 18 and 8 squarings: the stacked squarings sort them
+            "mu_unsorted": (
+                [dfwcs.with_params({"MU": v}) for v in (6.0, 0.5, 60.0, 0.1)],
+                build_generators(dfwcs, "MU", [6.0, 0.5, 60.0, 0.1]),
+                [4380.0],
+            ),
+            "dfwcs_pid": ([request.getfixturevalue("dfwcs_pid")], None, self.HOURLY),
+            "toy": ([toy], None, self.HOURLY),
+            # 0, 6 and 10 of the 18 nonzero entries survive the products
+            "tiny_times": ([dfwcs], None, [0.0, 5e-324, 1e-320, 1e-318]),
+            "underflow": ([parse(self.UNDERFLOW)], None, [0.4, 0.6]),
+        }
+
+    def _count_public(self, monkeypatch) -> list[int]:
+        """Record the slices of every call to the public scipy.linalg.expm."""
+        import scipy.linalg
+
+        calls, expm = [], scipy.linalg.expm
+
+        def counted(a):
+            calls.append(len(a))
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["mu_sweep", "mu_unsorted", "dfwcs_pid", "toy", "tiny_times", "underflow"])
+    def test_rows_equal_public_expm_and_solve_at(self, request, name):
+        import scipy.linalg
+
+        models, gens, grid = self._stacks(request)[name]
+        gens = build_generators(models[0]) if gens is None else gens
+        probs = solve_module._solve_stack(models[0], gens, EXPM, grid)
+        for model, q, rows in zip(models, gens, probs):
+            p0 = model.initial_vector()
+            for t, row in zip(grid, rows):
+                assert np.array_equal(row, np.clip(p0 @ scipy.linalg.expm(q * t), 0.0, 1.0)), t
+            for t, row in zip(grid, rows):
+                assert np.array_equal(row, solve_at(model, EXPM, t)), t
+
+    def test_public_route_only_where_scipy_branches(self, dfwcs, dfwcs_pid, toy, monkeypatch):
+        calls = self._count_public(monkeypatch)
+        for model in (dfwcs, dfwcs_pid):
+            solve_grid(model, EXPM, self.HOURLY[1:])
+        assert calls == []
+        for model, grid, public in (
+            (toy, [1.0, 2.0], [2]),
+            (dfwcs.with_params({"MU": 0.0}), [4379.0, 4380.0], [2]),
+            (dfwcs, [0.0, 1.0], [1]),
+            (dfwcs, [4380.0], [1]),  # a lone slice
+        ):
+            solve_grid(model, EXPM, grid)
+            assert calls == public, (model, grid)
+            calls.clear()
+
+    @pytest.mark.parametrize("kernels", ["blocked", "two_arguments", "three_results"])
+    def test_public_route_without_the_kernels(self, dfwcs, monkeypatch, kernels):
+        grid = [0.0, 1.0, 50.0] + [float(t) for t in range(100, 200)] + [4380.0]
+        expected = solve_grid(dfwcs, EXPM, grid).probs
+        stub = None
+        if kernels != "blocked":
+            stub = types.ModuleType(self.KERNELS)
+            if kernels == "two_arguments":
+                stub.pick_pade_structure = lambda am, n: (13, 0)
+            else:
+                stub.pick_pade_structure = lambda am: (13, 0, 0)
+            stub.pade_UV_calc = lambda am, m: 0
+        monkeypatch.setitem(sys.modules, self.KERNELS, stub)
+        calls = self._count_public(monkeypatch)
+        probs = solve_grid(dfwcs, EXPM, grid).probs
+        assert sum(calls) == len(grid)
+        assert np.array_equal(probs, expected)
+
+    @pytest.mark.parametrize(
+        "pick, code, error",
+        [((-1, 0), 0, MemoryError), ((13, 0), -3, RuntimeError), ((13, 0), -11, MemoryError)],
+    )
+    def test_kernel_failures_raise_as_scipy_does(self, dfwcs, monkeypatch, pick, code, error):
+        stub = types.ModuleType(self.KERNELS)
+        stub.pick_pade_structure = lambda am: pick
+        stub.pade_UV_calc = lambda am, m: code
+        monkeypatch.setitem(sys.modules, self.KERNELS, stub)
+        with pytest.raises(error, match="error code"):
+            solve_grid(dfwcs, EXPM, [1.0, 2.0])
+
+    def test_stacks_hold_at_most_one_chunk(self, dfwcs, monkeypatch):
+        # one stack of all 4381 slices, or gathers of it, would add ~2 MB of
+        # peak RSS per grid; every stack the route builds is one chunk
+        sizes = []
+        slices, matmul = solve_module._expm_slices, np.matmul
+
+        def record_slices(stack, generic):
+            sizes.append(len(stack))
+            return slices(stack, generic)
+
+        def record_matmul(a, b, **kwargs):
+            sizes.extend(len(x) for x in (a, b) if np.ndim(x) == 3)
+            return matmul(a, b, **kwargs)
+
+        public = self._count_public(monkeypatch)
+        monkeypatch.setattr(solve_module, "_expm_slices", record_slices)
+        monkeypatch.setattr(np, "matmul", record_matmul)
+        solve_grid(dfwcs, EXPM, self.HOURLY)
+        monkeypatch.undo()
+        assert len(sizes) > 4381 // solve_module._EXPM_ROWS and public == [1]
+        assert max(sizes + public) == solve_module._EXPM_ROWS
