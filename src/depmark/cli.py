@@ -22,7 +22,9 @@ Exit codes are a stable contract: 0 success, 1 domain or validation or
 audit finding, 2 usage, parse, or I/O error, 3 numeric failure.
 
 Each command imports only the modules it uses: ``validate`` and ``audit``
-load no numpy, and only ``--method expm`` loads SciPy.
+load no numpy, and only ``--method expm`` loads SciPy.  Unless numpy is
+already loaded or a ``*_NUM_THREADS`` variable is set, ``main`` runs
+OpenBLAS on one thread.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -277,13 +280,16 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 
 def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    # a bad --trials or --seed is refused before numpy loads
+    if not 1 <= args.trials <= TRIAL_CAP:
+        raise ValueError(f"--trials must be in [1, {TRIAL_CAP}], got {args.trials}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
     from .simulate import simulate
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
     model, digest, overrides = loaded
-    if not 1 <= args.trials <= TRIAL_CAP:
-        raise ValueError(f"--trials must be in [1, {TRIAL_CAP}], got {args.trials}")
 
     result = simulate(model, args.at, args.trials, args.seed)
     columns = ["state", "label", "count", "estimate", "ci99_half_width"]
@@ -426,6 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if "numpy" not in sys.modules and not any(name.endswith("_NUM_THREADS") for name in os.environ):
+        # depmark's matrices are small: more BLAS threads only cost CPU
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,19 +13,22 @@ Randomness comes from numpy's Philox 4x64-10 counter-based generator
 (256-bit counter, 128-bit key).  Trials are processed in fixed-size
 batches of 65536 and every batch gets its own generator keyed by
 (seed, batch_index), so the counts are reproducible bit for bit from the
-seed and the trial count; a test pins them.  Only uniform doubles are
-ever drawn: exponentials come from the inverse transform
--log1p(-u)/rate and categorical picks from one cumulative-table lookup.
-A batch carries only its running trials: each round draws one holding
-time and then one jump for each of them, in trial order, and drops the
-trials that have settled.  It counts the settled trials per state, as the
-running count minus the survivors' count, so only the first round touches
-the whole batch.  With a single initial state the initial uniforms cannot
-change an outcome; the batch skips them by advancing the Philox counter,
-which leaves the generator where drawing them would.  A batch still
-running after ``JUMP_ROUND_CAP`` rounds is refused with a
-NumericFailureError; the check draws nothing, so the counts of a run
-under the cap do not depend on it.
+seed and the trial count; a test pins them.  Each draw is a uniform
+u = (raw >> 11) * 2**-53 of one 64-bit Philox output: exponentials come
+from the inverse transform -log1p(-u)/rate and categorical picks from one
+cumulative-table lookup.  A batch carries only its running trials: each
+round draws one holding time and then one jump for each of them, in trial
+order, and drops the trials that have settled.  It counts the settled
+trials per state, as the running count minus the survivors' count, so only
+the first round touches the whole batch, and that round reads the raw
+outputs: a trial can end its first holding time before t only if u lies
+below 1 - exp(-rate t), and only the outputs below that bound, widened by
+1e-9 (far past the few ulps of log1p and expm1), become holding times.
+With a single initial state the initial uniforms cannot change an outcome;
+the batch skips them by advancing the Philox counter, which leaves the
+generator where drawing them would.  A batch still running after
+``JUMP_ROUND_CAP`` rounds is refused with a NumericFailureError; the check
+draws nothing, so the counts of a run under the cap do not depend on it.
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ def _run_batch(
 
     ``state`` and ``clock`` hold only the trials still running, in their
     original order; a one-entry ``state`` before the first holding time
-    stands for every trial.  ``running`` counts them per state, and a round
-    adds the ones that settle as ``running`` minus the survivors' count."""
+    stands for every trial, and round one keeps only the trials whose raw
+    output can give a holding time below t.  ``running`` counts them per
+    state, and a round adds the ones that settle as ``running`` minus the
+    survivors' count."""
     n_states = exit_rates.size
     absorbing = exit_rates <= 0.0
     neg_rates = -exit_rates
@@ -129,13 +134,23 @@ def _run_batch(
                 clock = clock[keep]
         if not running.any():
             return counts
+        if clock is None:
+            # round one, every trial at clock 0 in its initial state: u <= top
+            # * 2**-53 exactly when raw <= (top << 11) | 2047; the rest settle
+            bound = np.minimum(-np.expm1(neg_rates * t) * (1.0 + 1e-9), 1.0)
+            top = np.maximum(np.ceil(bound * 2.0**53), 1.0).astype(np.uint64) - 1
+            raw = rng.bit_generator.random_raw(running.sum())
+            cand = np.flatnonzero(raw <= ((top << 11) | 2047)[state])
+            state = np.broadcast_to(state, raw.shape)[cand]
+            hold = (raw[cand] >> 11) * 2.0**-53
+        else:
+            hold = rng.random(running.sum())
         # -log1p(-u)/rate, in place: the sign moves into the divisor
-        hold = rng.random(running.sum())
         np.log1p(np.negative(hold, out=hold), out=hold)
         hold /= neg_rates[state]
         clock = hold if clock is None else clock + hold  # 0.0 + h is h for h >= +0
         live = np.flatnonzero(clock < t)
-        state, clock = np.broadcast_to(state, clock.shape)[live], clock[live]
+        state, clock = state[live], clock[live]
         counts += running - np.bincount(state, minlength=n_states)
         if not state.size:
             return counts

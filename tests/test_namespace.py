@@ -15,10 +15,12 @@ DFWCS = str(depmark.bundled_model_path("dfwcs.mdl"))
 TABLE3 = str(depmark.bundled_table_path("table3.csv"))
 
 
-def run_fresh(code: str) -> None:
-    """Run ``code`` in a new interpreter that imports depmark from this tree."""
-    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+def run_fresh(code: str, environ: dict[str, str] | None = None) -> None:
+    """Run ``code`` in a new interpreter that imports depmark from this tree,
+    with ``environ`` (default: this process's) as its environment."""
+    environ = os.environ if environ is None else environ
+    path = [str(REPO_ROOT / "src"), environ.get("PYTHONPATH", "")]
+    env = dict(environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -68,6 +70,20 @@ class TestImportFootprint:
             f"    assert main(['solve', {DFWCS!r}, '--at', '4380', '--dt', 'inf']) == 2\n"
             f"    assert main(['sweep', {DFWCS!r}, '--param', 'C', '--values', '0.9', '--at', '1',"
             " '--eps', '0']) == 2\n"
+            "assert err.getvalue().count('error: ') == 3, err.getvalue()\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+            "loaded = {'depmark.solve', 'depmark.analysis', 'depmark.simulate'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+
+    def test_bad_simulate_flag_refused_before_numpy(self):
+        run_fresh(
+            "import contextlib, io, sys\n"
+            "from depmark.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            f"    assert main(['simulate', {DFWCS!r}, '--at', '4380', '--trials', '0']) == 2\n"
+            f"    assert main(['simulate', {DFWCS!r}, '--at', '4380', '--trials', '5', '--seed', '-1']) == 2\n"
+            f"    assert main(['simulate', {DFWCS!r}, '--at', '4380', '--trials', '5', '--seed', '{2**64}']) == 2\n"
             "assert err.getvalue().count('error: ') == 3, err.getvalue()\n"
             "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
             "loaded = {'depmark.solve', 'depmark.analysis', 'depmark.simulate'} & set(sys.modules)\n"
@@ -141,4 +157,45 @@ class TestLazyNamespace:
             "else:\n"
             "    raise AssertionError('depmark.nope resolved')\n"
             "assert not hasattr(depmark, 'nope')\n"
+        )
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread unless the user chose otherwise or
+    numpy was loaded first (too late to choose)."""
+
+    @staticmethod
+    def unpinned() -> dict[str, str]:
+        return {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+
+    def test_one_thread_by_default(self):
+        run_fresh(
+            "import os, sys\n"
+            "from depmark.cli import main\n"
+            f"assert main(['solve', {DFWCS!r}, '--at', '1']) == 0\n"
+            "assert os.environ.get('OPENBLAS_NUM_THREADS') == '1'\n"
+            "assert 'numpy' in sys.modules\n",
+            self.unpinned(),
+        )
+
+    @pytest.mark.parametrize(
+        "setting", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "3"}], ids=["openblas", "omp"]
+    )
+    def test_user_setting_wins(self, setting):
+        expected = setting.get("OPENBLAS_NUM_THREADS")
+        run_fresh(
+            "import os\n"
+            "from depmark.cli import main\n"
+            f"assert main(['solve', {DFWCS!r}, '--at', '1']) == 0\n"
+            f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {expected!r}\n",
+            dict(self.unpinned(), **setting),
+        )
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        run_fresh(
+            "import os, numpy\n"
+            "from depmark.cli import main\n"
+            f"assert main(['solve', {DFWCS!r}, '--at', '1']) == 0\n"
+            "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n",
+            self.unpinned(),
         )

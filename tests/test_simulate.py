@@ -234,6 +234,58 @@ class TestGoldenCounts:
         assert res.counts.tolist() == [2575, 2, 0, 0, 0, 0, 67423]
 
 
+    # recorded before round one compared raw Philox outputs
+    def test_two_initial_states_one_with_bound_one(self):
+        # state 2 at rate 51 over t = 2 outlives its first holding time
+        # with probability e**-102: every raw output is a candidate
+        chain = depmark.parse(
+            'state 1 "a" class = operational;\n'
+            'state 2 "b" class = fail_operational;\n'
+            'state 3 "c" class = fail_safe;\n'
+            "trans 1 -> 2 rate = 0.01;\n"
+            "trans 2 -> 1 rate = 1;\n"
+            "trans 2 -> 3 rate = 50;\n"
+            "init 1 = 0.5; init 2 = 0.5;\n"
+        )
+        res = simulate(chain, 2.0, 70_001, seed=12)
+        assert res.counts.tolist() == [35024, 7, 34970]
+
+    def test_time_zero(self):
+        res = simulate(depmark.parse(self.THREE), 0.0, 10_001, seed=6)
+        assert res.counts.tolist() == [2438, 7563, 0]
+
+    def test_three_initial_states_one_absorbing(self):
+        chain = depmark.parse(
+            'state 1 "a" class = operational;\n'
+            'state 2 "b" class = fail_operational;\n'
+            'state 3 "c" class = fail_safe;\n'
+            "trans 1 -> 2 rate = 0.3;\n"
+            "trans 2 -> 1 rate = 2;\n"
+            "trans 2 -> 3 rate = 0.7;\n"
+            "init 1 = 0.5; init 2 = 0.25; init 3 = 0.25;\n"
+        )
+        res = simulate(chain, 1.5, 30_000, seed=21)
+        assert res.counts.tolist() == [17093, 2050, 10857]
+
+    def test_absorbing_initial_state(self):
+        chain = depmark.parse(
+            'state 1 "a" class = operational;\n'
+            'state 2 "b" class = fail_safe;\n'
+            "trans 1 -> 2 rate = 1;\n"
+            "init 2 = 1;\n"
+        )
+        res = simulate(chain, 3.0, 1001, seed=2)
+        assert res.counts.tolist() == [0, 1001]
+
+    @pytest.mark.parametrize(
+        "trials, counts",
+        [(4095, [4087, 1, 0, 0, 0, 0, 7]), (BATCH_SIZE + 4095, [69533, 18, 0, 0, 0, 0, 80])],
+    )
+    def test_batch_size_not_divisible_by_4(self, dfwcs, trials, counts):
+        res = simulate(dfwcs.with_params({"C": 0.9}), 4380.0, trials, seed=13)
+        assert res.counts.tolist() == counts
+
+
 class TestPhiloxAdvance:
     """A batch with one initial state skips its initial uniforms by
     advancing the Philox counter by k // 4 steps and drawing k % 4
@@ -257,6 +309,85 @@ class TestPhiloxAdvance:
         assert np.array_equal(a["buffer"][pos:], b["buffer"][pos:])
         assert (a["has_uint32"], a["uinteger"]) == (b["has_uint32"], b["uinteger"])
         assert np.array_equal(drawn.random(9), skipped.random(9))
+
+
+def fresh_philox() -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+
+
+class TestPhiloxRaw:
+    """Round one reads its uniforms as raw outputs; k of them must leave a
+    fresh generator where k doubles do, each double (raw >> 11) * 2**-53."""
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 979, 65535, 65536])
+    def test_raw_then_draw_equals_drawing(self, k):
+        drawn, raw = fresh_philox(), fresh_philox()
+        doubles = drawn.random(k + 9)
+        outputs = raw.bit_generator.random_raw(k)
+        assert np.array_equal((outputs >> 11) * 2.0**-53, doubles[:k])
+        assert np.array_equal(raw.random(9), doubles[k:])
+        a, b = drawn.bit_generator.state, raw.bit_generator.state
+        assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+        assert a["buffer_pos"] == b["buffer_pos"]
+        assert np.array_equal(a["buffer"], b["buffer"])
+        assert (a["has_uint32"], a["uinteger"]) == (b["has_uint32"], b["uinteger"])
+
+
+class _GivenRaw:
+    """A stand-in generator whose round-one raw outputs are given and whose
+    every double is 0.0 (a chain of one transition ignores the jump's)."""
+
+    def __init__(self, raw: np.ndarray):
+        self.raw, self.bit_generator = raw, self
+
+    def advance(self, steps: int) -> None:
+        pass
+
+    def random_raw(self, size: int) -> np.ndarray:
+        assert size == self.raw.size
+        return self.raw
+
+    def random(self, size: int) -> np.ndarray:
+        return np.zeros(size)
+
+
+class TestFirstRound:
+    """Round one turns only the raw outputs below a per-state limit into
+    holding times; every uniform the log1p route keeps must be among them."""
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5e-3])
+    @pytest.mark.parametrize("rate_t", [0.0, 1e-12, 1.4e-2, 1.0, 36.0, 745.0, 1e6])
+    def test_log1p_survivors_are_candidates(self, rate, rate_t):
+        t = rate_t / rate
+        # the ~1e5 doubles nearest the bound 1 - exp(-rate t), then random draws
+        edge = int(-math.expm1(-rate * t) * 2.0**53)
+        steps = np.arange(max(edge - 50_000, 0), min(edge + 50_000, 2**53), dtype=np.uint64)
+        low = fresh_philox().integers(0, 2048, steps.size, dtype=np.uint64)
+        raw = np.concatenate([(steps << 11) | low, fresh_philox().bit_generator.random_raw(100_003)])
+        hold = np.log1p(-((raw >> 11) * 2.0**-53)) / -rate
+        kept = int((hold < t).sum())
+        # state 1 holds at ``rate`` and jumps to the absorbing state 2: a
+        # trial ends in state 2 only if its first holding time is below t
+        run_batch = importlib.import_module("depmark.simulate")._run_batch
+        counts = run_batch(
+            _GivenRaw(raw), raw.size, t, np.array([1.0]), np.array([0]),
+            np.array([rate, 0.0]), np.ones((2, 1)), np.array([[1], [0]]),
+        )
+        assert counts.tolist() == [raw.size - kept, kept]
+
+    def test_round_one_passes_few_trials_to_log1p(self, dfwcs, monkeypatch):
+        # at C = 0.9 and 4380 h about 1.4 % of the trials outlive their
+        # first holding time; the others must never reach log1p
+        sizes = []
+        log1p = np.log1p
+
+        def counting_log1p(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counting_log1p)
+        simulate(dfwcs.with_params({"C": 0.9}), 4380.0, BATCH_SIZE, seed=2)
+        assert sizes and sizes[0] <= 0.02 * BATCH_SIZE
 
 
 def random_chain(case: int) -> tuple[depmark.MarkovModel, float, int, int]:
