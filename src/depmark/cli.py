@@ -322,9 +322,12 @@ def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
     rows: list[dict[str, float]] = []
     for lineno, record in enumerate(reader, start=2):
         try:
-            rows.append({col: float(record[col]) for col in _AUDIT_COLUMNS})
+            row = {col: float(record[col]) for col in _AUDIT_COLUMNS}
         except (TypeError, ValueError):
             raise ValueError(f"{path}: non-numeric row {lineno}") from None
+        if not all(map(math.isfinite, row.values())):
+            raise ValueError(f"{path}: non-finite row {lineno}")  # JSON output cannot carry it
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: table has no data rows")
     return rows

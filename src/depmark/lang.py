@@ -93,9 +93,13 @@ class ModelParseError(DepmarkError):
 # --------------------------------------------------------------------------
 # lexer
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = ";=()+-*"
+# One named group per token kind, tried in order.  Strings stop at the
+# line end; one without its closing quote is an error.
+_TOKEN_RE = re.compile(
+    r'(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<string>"[^"\n]*"?)'
+    r"|(?P<arrow>->)|(?P<punct>[;=()+*-])|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<other>.)"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,68 +122,21 @@ class _Token:
 def _lex(text: str, errors: list[ParseError]) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            end = i + 1
-            while end < n and text[end] not in ('"', "\n"):
-                end += 1
-            if end < n and text[end] == '"':
-                tokens.append(_Token("string", text[i + 1 : end], line, col))
-                col += end - i + 1
-                i = end + 1
-            else:
-                errors.append(
-                    ParseError(
-                        SourceSpan(line, col, end - i),
-                        "unterminated string",
-                        ParseErrorKind.LEXICAL,
-                    )
-                )
-                col += end - i
-                i = end
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or ch == "."):
-            tokens.append(_Token("number", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        errors.append(
-            ParseError(SourceSpan(line, col, 1), f"unexpected character {ch!r}", ParseErrorKind.LEXICAL)
-        )
-        i += 1
-        col += 1
+        if kind == "string" and not lexeme.endswith('"', 1):
+            errors.append(ParseError(SourceSpan(line, col, len(lexeme)), "unterminated string", ParseErrorKind.LEXICAL))
+        elif kind == "other":
+            errors.append(ParseError(SourceSpan(line, col, 1), f"unexpected character {lexeme!r}", ParseErrorKind.LEXICAL))
+        elif kind == "string":
+            tokens.append(_Token(kind, lexeme[1:-1], line, col))
+        elif kind not in ("blank", "comment"):
+            tokens.append(_Token(kind, lexeme, line, col))
+        if kind != "comment":  # only an eof can follow a comment on its line; it sits at the '#'
+            col += len(lexeme)
     tokens.append(_Token("eof", "", line, col))
     return tokens
 
@@ -257,140 +214,108 @@ class _Parser:
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _advance(self) -> _Token:
+    def _accept(self, kind: str, text: str | None = None) -> _Token | None:
+        # consume the next token only if it has this kind (and text); a token
+        # that fails stays put, so _synchronize starts from it
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        self.pos += 1
         return tok
 
-    def _expect_punct(self, ch: str) -> _Token:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == ch:
-            return self._advance()
-        raise _Unexpected(tok, f"'{ch}'")
+    def _expect(self, kind: str, what: str = "", text: str | None = None) -> _Token:
+        # ``what`` names the token in the error; by default it is the quoted text
+        tok = self._accept(kind, text)
+        if tok is None:
+            raise _Unexpected(self._peek(), what or f"'{text}'")
+        return tok
 
-    def _expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self._peek()
-        if tok.kind == "ident":
-            return self._advance()
-        raise _Unexpected(tok, what)
-
-    def _expect_number(self, what: str = "number") -> tuple[float, _Token]:
-        tok = self._peek()
-        if tok.kind == "number":
-            self._advance()
-            return float(tok.text), tok
-        raise _Unexpected(tok, what)
-
-    def _expect_int(self, what: str = "integer state id") -> tuple[int, _Token]:
-        tok = self._peek()
-        if tok.kind == "number" and re.fullmatch(r"\d+", tok.text):
-            self._advance()
-            return int(tok.text), tok
-        raise _Unexpected(tok, what)
-
-    def _expect_string(self) -> _Token:
-        tok = self._peek()
-        if tok.kind == "string":
-            return self._advance()
-        raise _Unexpected(tok, "quoted state label")
-
-    def _expect_keyword(self, word: str) -> _Token:
-        tok = self._peek()
-        if tok.kind == "ident" and tok.text == word:
-            return self._advance()
-        raise _Unexpected(tok, f"'{word}'")
+    def _state_id(self) -> _Token:
+        # a number token of decimal digits only: not 1.5, not 1e3
+        if self._peek().text.isdecimal():
+            return self._expect("number", "integer state id")
+        raise _Unexpected(self._peek(), "integer state id")
 
     def _error(self, span: SourceSpan, message: str, kind: ParseErrorKind) -> None:
         self.errors.append(ParseError(span, message, kind))
 
     def _synchronize(self) -> None:
         # skip forward past the next ';' so later statements still parse
-        while True:
-            tok = self._advance()
-            if tok.kind == "eof" or (tok.kind == "punct" and tok.text == ";"):
-                return
+        while self._peek().kind != "eof" and not self._accept("punct", ";"):
+            self.pos += 1
 
     # grammar ------------------------------------------------------------
 
     def run(self) -> None:
-        while self._peek().kind != "eof":
-            tok = self._peek()
+        while (tok := self._peek()).kind != "eof":
             try:
                 if tok.kind != "ident" or tok.text not in _STATEMENT_KEYWORDS:
                     raise _Unexpected(tok, "statement keyword (param, state, trans, init, option)")
+                self.pos += 1  # the keyword
                 getattr(self, f"_parse_{tok.text}")()
             except _Unexpected as err:
                 self._error(err.token.span, str(err), ParseErrorKind.SYNTACTIC)
                 self._synchronize()
 
     def _parse_param(self) -> None:
-        self._expect_keyword("param")
-        name_tok = self._expect_ident("parameter name")
-        self._expect_punct("=")
-        value, value_tok = self._expect_number("parameter value")
-        coverage = False
-        if self._peek().kind == "ident" and self._peek().text == "coverage":
-            self._advance()
-            coverage = True
-        self._expect_punct(";")
+        name_tok = self._expect("ident", "parameter name")
+        self._expect("punct", text="=")
+        value_tok = self._expect("number", "parameter value")
+        coverage = self._accept("ident", "coverage") is not None
+        self._expect("punct", text=";")
+        value = float(value_tok.text)
         if not math.isfinite(value):
             self._error(value_tok.span, f"parameter value is not finite: {value_tok.text}", ParseErrorKind.SEMANTIC)
             value = 0.0
         self.params.append(_ParamStmt(name_tok.text, value, coverage, name_tok.span))
 
     def _parse_state(self) -> None:
-        self._expect_keyword("state")
-        sid, id_tok = self._expect_int()
-        label_tok = self._expect_string()
-        self._expect_keyword("class")
-        self._expect_punct("=")
-        cls_tok = self._expect_ident("state class")
+        id_tok = self._state_id()
+        label_tok = self._expect("string", "quoted state label")
+        self._expect("ident", text="class")
+        self._expect("punct", text="=")
+        cls_tok = self._expect("ident", "state class")
         if cls_tok.text not in _CLASS_KEYWORDS:
             allowed = ", ".join(sorted(_CLASS_KEYWORDS))
             raise _Unexpected(cls_tok, f"state class ({allowed})")
-        self._expect_punct(";")
+        self._expect("punct", text=";")
         self.states.append(
-            _StateStmt(sid, label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_tok.span, label_tok.span)
+            _StateStmt(int(id_tok.text), label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_tok.span, label_tok.span)
         )
 
     def _parse_trans(self) -> None:
-        self._expect_keyword("trans")
-        src, src_tok = self._expect_int()
-        tok = self._peek()
-        if tok.kind != "arrow":
-            raise _Unexpected(tok, "'->'")
-        self._advance()
-        dst, dst_tok = self._expect_int()
-        self._expect_keyword("rate")
-        self._expect_punct("=")
+        src_tok = self._state_id()
+        self._expect("arrow", text="->")
+        dst_tok = self._state_id()
+        self._expect("ident", text="rate")
+        self._expect("punct", text="=")
         refs: list[tuple[str, SourceSpan]] = []
         rate = self._parse_expr(refs)
         kind = TransitionKind.FAILURE
-        if self._peek().kind == "ident" and self._peek().text == "kind":
-            self._advance()
-            self._expect_punct("=")
-            kind_tok = self._expect_ident("transition kind")
+        if self._accept("ident", "kind"):
+            self._expect("punct", text="=")
+            kind_tok = self._expect("ident", "transition kind")
             if kind_tok.text not in _KIND_KEYWORDS:
                 raise _Unexpected(kind_tok, "transition kind (failure, repair)")
             kind = _KIND_KEYWORDS[kind_tok.text]
-        self._expect_punct(";")
-        self.trans.append(_TransStmt(src, dst, rate, kind, src_tok.span, dst_tok.span, refs))
+        self._expect("punct", text=";")
+        self.trans.append(
+            _TransStmt(int(src_tok.text), int(dst_tok.text), rate, kind, src_tok.span, dst_tok.span, refs)
+        )
 
     def _parse_init(self) -> None:
-        self._expect_keyword("init")
-        sid, id_tok = self._expect_int()
-        self._expect_punct("=")
-        prob, _ = self._expect_number("probability")
-        self._expect_punct(";")
-        self.inits.append(_InitStmt(sid, prob, id_tok.span))
+        id_tok = self._state_id()
+        self._expect("punct", text="=")
+        prob_tok = self._expect("number", "probability")
+        self._expect("punct", text=";")
+        self.inits.append(_InitStmt(int(id_tok.text), float(prob_tok.text), id_tok.span))
 
     def _parse_option(self) -> None:
-        self._expect_keyword("option")
-        name_tok = self._expect_ident("option name")
-        self._expect_punct("=")
-        value, value_tok = self._expect_number("option value")
-        self._expect_punct(";")
+        name_tok = self._expect("ident", "option name")
+        self._expect("punct", text="=")
+        value_tok = self._expect("number", "option value")
+        self._expect("punct", text=";")
+        value = float(value_tok.text)
         if name_tok.text != "horizon":
             self._error(name_tok.span, f"unknown option {name_tok.text!r}", ParseErrorKind.SEMANTIC)
             return
@@ -404,44 +329,32 @@ class _Parser:
 
     def _parse_expr(self, refs: list[tuple[str, SourceSpan]]) -> RateExpr:
         node = self._parse_term(refs)
-        while True:
-            tok = self._peek()
-            if tok.kind == "punct" and tok.text in "+-":
-                self._advance()
-                rhs = self._parse_term(refs)
-                node = Sum(node, rhs) if tok.text == "+" else Difference(node, rhs)
-            else:
-                return node
+        while op := self._accept("punct", "+") or self._accept("punct", "-"):
+            rhs = self._parse_term(refs)
+            node = Sum(node, rhs) if op.text == "+" else Difference(node, rhs)
+        return node
 
     def _parse_term(self, refs: list[tuple[str, SourceSpan]]) -> RateExpr:
         node = self._parse_factor(refs)
-        while True:
-            tok = self._peek()
-            if tok.kind == "punct" and tok.text == "*":
-                self._advance()
-                node = Product(node, self._parse_factor(refs))
-            else:
-                return node
+        while self._accept("punct", "*"):
+            node = Product(node, self._parse_factor(refs))
+        return node
 
     def _parse_factor(self, refs: list[tuple[str, SourceSpan]]) -> RateExpr:
-        tok = self._peek()
-        if tok.kind == "number":
-            self._advance()
+        if tok := self._accept("number"):
             try:
                 return Constant(float(tok.text))
             except ValueError:
                 self._error(tok.span, f"rate constant is not finite: {tok.text}", ParseErrorKind.SEMANTIC)
                 return Constant(0.0)
-        if tok.kind == "ident":
-            self._advance()
+        if tok := self._accept("ident"):
             refs.append((tok.text, tok.span))
             return ParamRef(tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self._advance()
+        if self._accept("punct", "("):
             node = self._parse_expr(refs)
-            self._expect_punct(")")
+            self._expect("punct", text=")")
             return node
-        raise _Unexpected(tok, "number, parameter name, or '('")
+        raise _Unexpected(self._peek(), "number, parameter name, or '('")
 
 
 def parse(text: str) -> MarkovModel:
@@ -481,6 +394,9 @@ def parse(text: str) -> MarkovModel:
             continue
         if not stmt.label:
             errors.append(ParseError(stmt.label_span, "state label is empty", ParseErrorKind.SEMANTIC))
+            continue
+        if "\r" in stmt.label:
+            errors.append(ParseError(stmt.label_span, "state label contains a carriage return", ParseErrorKind.SEMANTIC))
             continue
         states[stmt.id] = stmt
 

@@ -387,6 +387,17 @@ class TestAudit:
         code, _, _ = run(capsys, "audit", "--table", str(table))
         assert code == 2
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_exits_2(self, capsys, tmp_path, output, cell):
+        # strict JSON has no NaN or Infinity, so the table is refused up front
+        table = tmp_path / "broken.csv"
+        table.write_text(f"param,R,S,Pfs,Pfu\n0.9,0.9,0.95,0.05,0.05\n1,1,1,{cell},0\n")
+        code, out, err = run(capsys, "audit", "--table", str(table), "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {table}: non-finite row 3\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "audit", "--table", TABLE3, "--output", "json")
         assert code == 1

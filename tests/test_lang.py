@@ -313,6 +313,12 @@ class TestParseErrors:
             parse(doc)
         assert len(exc.value.errors) >= 2
 
+    def test_carriage_return_in_label_is_semantic(self):
+        # the lexer lets a string hold '\r', but a State label may not
+        with pytest.raises(ModelParseError) as exc:
+            parse('state 1 "a\rb" class = operational;')
+        assert str(exc.value) == "1:9: semantic: state label contains a carriage return"
+
     def test_value_domain_defects_pass_parse(self):
         # init sums and coverage ranges are validation business, not syntax
         doc = (
@@ -356,5 +362,12 @@ class TestProperties:
     def test_parse_is_total_near_grammar(self, text):
         try:
             parse(text)
+        except ModelParseError:
+            pass
+
+    @given(label=st.text(alphabet='ab\r\t"#\n ', max_size=12))
+    def test_parse_is_total_on_any_label(self, label):
+        try:
+            parse(f'state 1 "{label}" class = operational;')
         except ModelParseError:
             pass
