@@ -312,15 +312,18 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
-    lines = [line for line in io.StringIO(text, newline="") if not line.lstrip().startswith("#")]
-    reader = csv.DictReader(lines)
+    # a row is reported by its line in the file, comment lines included
+    lines = enumerate(io.StringIO(text, newline=""), start=1)
+    numbered = [(n, line) for n, line in lines if not line.lstrip().startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
     if reader.fieldnames is None:
         raise ValueError(f"{path}: empty table")
     missing = [col for col in _AUDIT_COLUMNS if col not in reader.fieldnames]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     rows: list[dict[str, float]] = []
-    for lineno, record in enumerate(reader, start=2):
+    for record in reader:
+        lineno = numbered[reader.line_num - 1][0]
         try:
             row = {col: float(record[col]) for col in _AUDIT_COLUMNS}
         except (TypeError, ValueError):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -150,10 +151,10 @@ _KIND_KEYWORDS = {kind.value: kind for kind in TransitionKind}
 
 
 class _Unexpected(Exception):
-    def __init__(self, token: _Token, expected: str):
+    def __init__(self, token: _Token, expected: str, found: str | None = None):
         self.token = token
         self.expected = expected
-        super().__init__(f"expected {expected}, found {token.describe()}")
+        super().__init__(f"expected {expected}, found {found or token.describe()}")
 
 
 @dataclass(slots=True)
@@ -230,11 +231,16 @@ class _Parser:
             raise _Unexpected(self._peek(), what or f"'{text}'")
         return tok
 
-    def _state_id(self) -> _Token:
+    def _state_id(self) -> tuple[int, SourceSpan]:
         # a number token of decimal digits only: not 1.5, not 1e3
-        if self._peek().text.isdecimal():
-            return self._expect("number", "integer state id")
-        raise _Unexpected(self._peek(), "integer state id")
+        if not self._peek().text.isdecimal():
+            raise _Unexpected(self._peek(), "integer state id")
+        tok = self._expect("number", "integer state id")
+        try:
+            return int(tok.text), tok.span
+        except ValueError:  # beyond int()'s limit on decimal digits
+            raise _Unexpected(tok, f"state id of at most {sys.get_int_max_str_digits()} digits",
+                              f"{len(tok.text)} digits") from None
 
     def _error(self, span: SourceSpan, message: str, kind: ParseErrorKind) -> None:
         self.errors.append(ParseError(span, message, kind))
@@ -270,7 +276,7 @@ class _Parser:
         self.params.append(_ParamStmt(name_tok.text, value, coverage, name_tok.span))
 
     def _parse_state(self) -> None:
-        id_tok = self._state_id()
+        sid, id_span = self._state_id()
         label_tok = self._expect("string", "quoted state label")
         self._expect("ident", text="class")
         self._expect("punct", text="=")
@@ -280,13 +286,13 @@ class _Parser:
             raise _Unexpected(cls_tok, f"state class ({allowed})")
         self._expect("punct", text=";")
         self.states.append(
-            _StateStmt(int(id_tok.text), label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_tok.span, label_tok.span)
+            _StateStmt(sid, label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_span, label_tok.span)
         )
 
     def _parse_trans(self) -> None:
-        src_tok = self._state_id()
+        source, source_span = self._state_id()
         self._expect("arrow", text="->")
-        dst_tok = self._state_id()
+        target, target_span = self._state_id()
         self._expect("ident", text="rate")
         self._expect("punct", text="=")
         refs: list[tuple[str, SourceSpan]] = []
@@ -300,15 +306,15 @@ class _Parser:
             kind = _KIND_KEYWORDS[kind_tok.text]
         self._expect("punct", text=";")
         self.trans.append(
-            _TransStmt(int(src_tok.text), int(dst_tok.text), rate, kind, src_tok.span, dst_tok.span, refs)
+            _TransStmt(source, target, rate, kind, source_span, target_span, refs)
         )
 
     def _parse_init(self) -> None:
-        id_tok = self._state_id()
+        sid, id_span = self._state_id()
         self._expect("punct", text="=")
         prob_tok = self._expect("number", "probability")
         self._expect("punct", text=";")
-        self.inits.append(_InitStmt(int(id_tok.text), float(prob_tok.text), id_tok.span))
+        self.inits.append(_InitStmt(sid, float(prob_tok.text), id_span))
 
     def _parse_option(self) -> None:
         name_tok = self._expect("ident", "option name")

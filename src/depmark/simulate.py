@@ -15,26 +15,26 @@ batches of 65536 and every batch gets its own generator keyed by
 (seed, batch_index), so the counts are reproducible bit for bit from the
 seed and the trial count; a test pins them.  Each draw is a uniform
 u = (raw >> 11) * 2**-53 of one 64-bit Philox output: exponentials come
-from the inverse transform -log1p(-u)/rate and categorical picks from one
-cumulative-table lookup.  A batch carries only its running trials: each
-round draws one holding time and then one jump for each of them, in trial
-order, and drops the trials that have settled.  It counts the settled
-trials per state, as the running count minus the survivors' count, so only
-the first round touches the whole batch, and that round reads the raw
-outputs: a trial can end its first holding time before t only if u lies
-below 1 - exp(-rate t), and only the outputs below that bound, widened by
-1e-9 (far past the few ulps of log1p and expm1), become holding times.
-With a single initial state the initial uniforms cannot change an outcome;
-the batch skips them by advancing the Philox counter, which leaves the
-generator where drawing them would.  A batch still running after
-``JUMP_ROUND_CAP`` rounds is refused with a NumericFailureError; the check
-draws nothing, so the counts of a run under the cap do not depend on it.
+from the inverse transform -log1p(-u)/rate and jumps from one keyed
+search of raw >> 11 among the cumulative jump probabilities.  Round one
+reads a whole batch's raw outputs (with one initial state it skips the
+initial uniforms by advancing the counter): a trial can end its first
+holding time before t only if u lies below 1 - exp(-rate t), so only the
+outputs below that bound, widened by 1e-9 (far past the few ulps of
+log1p and expm1), go on.  Those trials gather over batches and run in
+lockstep once BATCH_SIZE of them have gathered, and after the last
+batch: each round draws a holding time and then a jump for every running
+trial, each batch from its own generator in trial order.  A trial still
+running after ``JUMP_ROUND_CAP`` rounds is refused with a
+NumericFailureError; the check draws nothing, so the counts of a run
+under the cap do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,7 @@ __all__ = ["BATCH_SIZE", "Z99", "SimulationResult", "simulate"]
 #: Trials per Philox key; the last batch of a run may be smaller.
 BATCH_SIZE = 65536
 
-#: Hard cap on the jump rounds of one batch (a round moves every trial
+#: Hard cap on the jump rounds of a trial (a round moves every trial
 #: still running by one holding time and one jump).  The published
 #: coverages at six months take at most 7; a chain that keeps cycling
 #: until the mission time ends is refused instead of running unbounded.
@@ -96,22 +96,35 @@ def _draw_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cum, ids
 
 
-def _run_batch(
-    rng: np.random.Generator, size: int, t: float, init_cum: np.ndarray, init_ids: np.ndarray,
-    exit_rates: np.ndarray, succ_cum: np.ndarray, succ_ids: np.ndarray,
-) -> np.ndarray:
-    """Final-state counts of ``size`` trials.
+def _keyed_jump(entries: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``jump(state, raw)``: the successors that ``ids[(cum < u).sum()]``
+    of each state's ``_draw_table`` picks for u = (raw >> 11) * 2**-53, as
+    one searchsorted of state i's query i * 2**54 + (raw >> 11) among keys
+    i * 2**54 + floor(cum * 2**53).  u * 2**53 = raw >> 11 is an integer,
+    so cum < u exactly when its key is below the query; the last key, of
+    cum = 1, is above every query of state i and below state i + 1's, and
+    STATE_CAP keeps the keys below 2**64.  ``raw`` is overwritten."""
+    tables = [_draw_table(row) for row in entries - np.diag(np.diag(entries))]
+    keys = np.concatenate([np.floor(cum * 2.0**53).astype(np.uint64) + (i << 54)
+                           for i, (cum, _) in enumerate(tables)])
+    succ = np.concatenate([ids for _, ids in tables])
+    rows = np.arange(entries.shape[0], dtype=np.uint64) << 54
 
-    ``state`` and ``clock`` hold only the trials still running, in their
-    original order; a one-entry ``state`` before the first holding time
-    stands for every trial, and round one keeps only the trials whose raw
-    output can give a holding time below t.  ``running`` counts them per
-    state, and a round adds the ones that settle as ``running`` minus the
-    survivors' count."""
-    n_states = exit_rates.size
-    absorbing = exit_rates <= 0.0
-    neg_rates = -exit_rates
-    counts = np.zeros(n_states, dtype=np.int64)
+    def jump(state: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        raw >>= 11
+        raw += rows[state]
+        return succ[np.searchsorted(keys, raw)]
+
+    return jump
+
+
+def _first_round(
+    rng: np.random.Generator, size: int, init_cum: np.ndarray, init_ids: np.ndarray,
+    absorbing: np.ndarray, limit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's trial count per initial state, and the states and raw
+    outputs, in trial order, of the trials whose raw output is at most
+    their state's ``limit``."""
     if init_ids.size == 1:
         # one initial state: its uniforms cannot change an outcome, so skip
         # them.  A batch's Philox is fresh, its buffer empty, and a double
@@ -119,47 +132,98 @@ def _run_batch(
         rng.bit_generator.advance(size // 4)
         rng.random(size % 4)
         state = init_ids
-        running = np.bincount(init_ids, minlength=n_states) * size
+        running = np.bincount(init_ids, minlength=absorbing.size) * size
     else:
         state = init_ids[(init_cum < rng.random(size)[:, None]).sum(axis=1)]
-        running = np.bincount(state, minlength=n_states)
-    clock = None
-    for _ in range(JUMP_ROUND_CAP):
-        if running[absorbing].any():
-            counts[absorbing] += running[absorbing]
-            running[absorbing] = 0
-            keep = np.flatnonzero(~absorbing[state])
-            state = state[keep]
-            if clock is not None:
-                clock = clock[keep]
-        if not running.any():
-            return counts
-        if clock is None:
-            # round one, every trial at clock 0 in its initial state: u <= top
-            # * 2**-53 exactly when raw <= (top << 11) | 2047; the rest settle
-            bound = np.minimum(-np.expm1(neg_rates * t) * (1.0 + 1e-9), 1.0)
-            top = np.maximum(np.ceil(bound * 2.0**53), 1.0).astype(np.uint64) - 1
-            raw = rng.bit_generator.random_raw(running.sum())
-            cand = np.flatnonzero(raw <= ((top << 11) | 2047)[state])
-            state = np.broadcast_to(state, raw.shape)[cand]
-            hold = (raw[cand] >> 11) * 2.0**-53
-        else:
-            hold = rng.random(running.sum())
+        running = np.bincount(state, minlength=absorbing.size)
+    if running[absorbing].any():
+        state = state[~absorbing[state]]
+    raw = rng.bit_generator.random_raw(running[~absorbing].sum())
+    cand = np.flatnonzero(raw <= limit[state])
+    return running, state.take(cand, mode="clip"), raw[cand]  # "clip": a one-entry state serves all
+
+
+def _run_group(
+    group: list[tuple[np.random.Generator, np.ndarray, np.ndarray]], t: float,
+    exit_rates: np.ndarray, jump: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Run the trials that round one passed on, given per batch as
+    (generator, states, raw outputs), to the end; returns their final-state
+    counts less their count in those states.  Each batch draws for its own
+    trials from its own generator in trial order, and every other step runs
+    once on the union.  ``running`` counts the trials per state, and a round
+    adds the ones that settle as ``running`` minus the survivors' count."""
+    absorbing, neg_rates = exit_rates <= 0.0, -exit_rates
+    rngs = [rng for rng, _, _ in group]
+    edges = np.arange(len(group) + 1, dtype=np.int32)  # batch b's trials lie between b and b + 1
+    batch = np.repeat(edges[:-1], [state.size for _, state, _ in group])
+    state = np.concatenate([state for _, state, _ in group], dtype=np.intp)
+    hold = np.concatenate([raw for _, _, raw in group])
+    group.clear()  # the union replaces the batches' arrays
+    hold >>= 11
+    hold = hold * 2.0**-53
+    running = np.bincount(state, minlength=exit_rates.size)
+    counts, clock = -running, None
+    for rounds in range(JUMP_ROUND_CAP):
+        if rounds:  # round one settled the absorbing states and drew the holds
+            if running[absorbing].any():
+                counts[absorbing] += running[absorbing]
+                running[absorbing] = 0
+                keep = ~absorbing[state]
+                state = state[keep]; clock = clock[keep]; batch = batch[keep]
+            if not state.size:
+                return counts
+            sizes = np.diff(batch.searchsorted(edges)).tolist()
+            hold = np.concatenate([rng.random(k) for rng, k in zip(rngs, sizes) if k])
         # -log1p(-u)/rate, in place: the sign moves into the divisor
         np.log1p(np.negative(hold, out=hold), out=hold)
         hold /= neg_rates[state]
         clock = hold if clock is None else clock + hold  # 0.0 + h is h for h >= +0
-        live = np.flatnonzero(clock < t)
-        state, clock = state[live], clock[live]
-        counts += running - np.bincount(state, minlength=n_states)
+        live = clock < t
+        state = state[live]; clock = clock[live]; batch = batch[live]
+        counts += running - np.bincount(state, minlength=exit_rates.size)
         if not state.size:
             return counts
-        choice = (succ_cum[state] < rng.random(state.size)[:, None]).sum(axis=1)
-        state = succ_ids[state, choice]
-        running = np.bincount(state, minlength=n_states)
+        sizes = np.diff(batch.searchsorted(edges)).tolist()
+        raw = np.concatenate([rng.bit_generator.random_raw(k) for rng, k in zip(rngs, sizes) if k])
+        state = jump(state, raw)
+        running = np.bincount(state, minlength=exit_rates.size)
     raise NumericFailureError(
         f"simulation to t = {t:g} is still jumping after {JUMP_ROUND_CAP} rounds"
     )
+
+
+def _count(
+    batches: Iterable[tuple[np.random.Generator, int]], t: float,
+    init_cum: np.ndarray, init_ids: np.ndarray, entries: np.ndarray,
+) -> np.ndarray:
+    """Final-state counts of ``batches``, pairs of a fresh generator and a
+    trial count, on the chain with generator matrix ``entries``.  Round one
+    runs per batch; the trials it passes on gather into a group that runs
+    once it holds BATCH_SIZE of them, and after the last batch, so a group
+    holds fewer than twice that."""
+    exit_rates = -np.diag(entries)
+    jump = _keyed_jump(entries)
+    absorbing = exit_rates <= 0.0
+    # u <= top * 2**-53 exactly when raw <= (top << 11) | 2047
+    bound = np.minimum(-np.expm1(-exit_rates * t) * (1.0 + 1e-9), 1.0)
+    top = np.maximum(np.ceil(bound * 2.0**53), 1.0).astype(np.uint64) - 1
+    limit = (top << 11) | 2047
+    init_ids = init_ids.astype(np.int16)  # compact while a group gathers; STATE_CAP is 1000
+    counts = np.zeros(exit_rates.size, dtype=np.int64)
+    group, gathered = [], 0
+    for rng, size in batches:
+        running, state, raw = _first_round(rng, size, init_cum, init_ids, absorbing, limit)
+        counts += running
+        if state.size:
+            group.append((rng, state, raw))
+            gathered += state.size
+        if gathered >= BATCH_SIZE:
+            counts += _run_group(group, t, exit_rates, jump)
+            gathered = 0
+    if group:
+        counts += _run_group(group, t, exit_rates, jump)
+    return counts
 
 
 def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> SimulationResult:
@@ -176,27 +240,12 @@ def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> Simula
     if not init_ids.size:
         raise ValueError("the model has no positive initial mass")
 
-    entries = build_generator(model).entries
-    exit_rates = -np.diag(entries)
-    jumps = entries.copy()
-    np.fill_diagonal(jumps, 0.0)
-    # pad the successor rows to one width: cumulative probabilities with
-    # 1.0, so that a lookup never lands on a padding column
-    tables = [_draw_table(row) for row in jumps]
-    width = max(max(ids.size for _, ids in tables), 1)
-    succ_cum = np.ones((model.n, width))
-    succ_ids = np.zeros((model.n, width), dtype=np.int64)
-    for i, (cum, ids) in enumerate(tables):
-        succ_cum[i, : cum.size] = cum
-        succ_ids[i, : ids.size] = ids
-
-    counts = np.zeros(model.n, dtype=np.int64)
-    for batch in range(-(-trials // BATCH_SIZE)):
-        size = min(BATCH_SIZE, trials - batch * BATCH_SIZE)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, batch], dtype=np.uint64))
-        )
-        counts += _run_batch(rng, size, t, init_cum, init_ids, exit_rates, succ_cum, succ_ids)
+    batches = (
+        (np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64))),
+         min(BATCH_SIZE, trials - batch * BATCH_SIZE))
+        for batch in range(-(-trials // BATCH_SIZE))
+    )
+    counts = _count(batches, t, init_cum, init_ids, build_generator(model).entries)
 
     estimates = counts / float(trials)
     half = Z99 * np.sqrt(estimates * (1.0 - estimates) / float(trials))

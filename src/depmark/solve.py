@@ -554,31 +554,6 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> _LiteralRates:
     return _LiteralRates(lam1, lam2, lam3, lam4, c, mu)
 
 
-def _literal_step(
-    p: tuple[float, float, float, float, float, float, float],
-    r: _LiteralRates,
-    dt: float,
-) -> tuple[float, float, float, float, float, float, float]:
-    # the seven published update equations, term for term; note the
-    # missing 1 -> 2 inflow in the second line and the coverage factor
-    # on the repair rates in lines two and three
-    p1, p2, p3, p4, p5, p6, p7 = p
-    return (
-        (1 - r.lam1 * r.c * dt) * p1 + r.mu * dt * p2,
-        (1 - (r.lam2 + r.mu) * r.c * dt) * p2 + 2 * r.mu * dt * p3,
-        (r.lam2 * r.c * dt) * p2 + (1 - (r.lam2 + 2 * r.mu) * r.c * dt) * p3,
-        (1 - 2 * r.lam3 * r.c * dt) * p4 + r.mu * dt * p5,
-        2 * r.lam3 * r.c * dt * p4 + (1 - (2 * r.lam4 + r.mu) * r.c * dt) * p5,
-        r.lam2 * r.c * dt * p3 + 2 * r.lam4 * r.c * dt * p5 + p6,
-        r.lam1 * (1 - r.c) * dt * p1
-        + r.lam2 * (1 - r.c) * dt * p2
-        + r.lam2 * (1 - r.c) * dt * p3
-        + 2 * r.lam3 * (1 - r.c) * dt * p4
-        + 2 * r.lam4 * (1 - r.c) * dt * p5
-        + p7,
-    )
-
-
 def _literal_run(
     model: MarkovModel, rates: _LiteralRates, config: SolverConfig, grid: list[float]
 ) -> tuple[np.ndarray, list[float]]:
@@ -590,9 +565,32 @@ def _literal_run(
         if rem:
             raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
     defects: list[float] = []
+    lam1, lam2, lam3, lam4, c, mu = rates.lam1, rates.lam2, rates.lam3, rates.lam4, rates.c, rates.mu
+    # the coefficients of the seven published update equations, each formed
+    # once as the left-to-right product its term spells, so every term keeps
+    # its bits.  Note the missing 1 -> 2 inflow in the second equation and
+    # the coverage factor on the repair rates in the second and third
+    keep1 = 1 - lam1 * c * dt
+    keep2 = 1 - (lam2 + mu) * c * dt
+    keep3 = 1 - (lam2 + 2 * mu) * c * dt
+    keep4 = 1 - 2 * lam3 * c * dt
+    keep5 = 1 - (2 * lam4 + mu) * c * dt
+    repair, repair2 = mu * dt, 2 * mu * dt
+    covered2, covered4, covered5 = lam2 * c * dt, 2 * lam3 * c * dt, 2 * lam4 * c * dt
+    unsafe1, unsafe2 = lam1 * (1 - c) * dt, lam2 * (1 - c) * dt
+    unsafe4, unsafe5 = 2 * lam3 * (1 - c) * dt, 2 * lam4 * (1 - c) * dt
 
     def step(p: tuple[float, ...]) -> tuple[float, ...]:
-        p = _literal_step(p, rates, dt)
+        p1, p2, p3, p4, p5, p6, p7 = p
+        p = (
+            keep1 * p1 + repair * p2,
+            keep2 * p2 + repair2 * p3,
+            covered2 * p2 + keep3 * p3,
+            keep4 * p4 + repair * p5,
+            covered4 * p4 + keep5 * p5,
+            covered2 * p3 + covered5 * p5 + p6,
+            unsafe1 * p1 + unsafe2 * p2 + unsafe2 * p3 + unsafe4 * p4 + unsafe5 * p5 + p7,
+        )
         defects.append(1.0 - (p[0] + p[1] + p[2] + p[3] + p[4] + p[5] + p[6]))
         return p
 

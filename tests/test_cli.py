@@ -398,6 +398,16 @@ class TestAudit:
         assert out == ""
         assert err == f"error: {table}: non-finite row 3\n"
 
+    @pytest.mark.parametrize("cell, problem", [("x", "non-numeric"), ("inf", "non-finite")])
+    def test_bad_row_reported_by_file_line(self, capsys, tmp_path, cell, problem):
+        # comment lines count: the bad row is on line 3 of the file
+        table = tmp_path / "commented.csv"
+        table.write_text(f"# note\nparam,R,S,Pfs,Pfu\n0.9,{cell},1,0,0\n")
+        code, out, err = run(capsys, "audit", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {table}: {problem} row 3\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "audit", "--table", TABLE3, "--output", "json")
         assert code == 1

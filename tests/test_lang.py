@@ -319,6 +319,22 @@ class TestParseErrors:
             parse('state 1 "a\rb" class = operational;')
         assert str(exc.value) == "1:9: semantic: state label contains a carriage return"
 
+    @pytest.mark.parametrize("statement, column", [
+        ("state {} \"b\" class = fail_safe;", 7),
+        ("trans 1 -> {} rate = 1;", 12),
+        ("init {} = 1;", 6),
+    ])
+    def test_state_id_past_int_digit_limit(self, statement, column):
+        # int() refuses more than 4300 decimal digits; the id is refused
+        # at its own span instead of escaping as a ValueError
+        huge = "9" * 5000
+        with pytest.raises(ModelParseError) as exc:
+            parse('state 1 "a" class = operational;\n' + statement.format(huge) + "\n")
+        (err,) = exc.value.errors
+        assert (err.span.line, err.span.column, err.span.length) == (2, column, 5000)
+        assert err.kind is ParseErrorKind.SYNTACTIC
+        assert err.message.endswith("found 5000 digits")
+
     def test_value_domain_defects_pass_parse(self):
         # init sums and coverage ranges are validation business, not syntax
         doc = (

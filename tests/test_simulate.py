@@ -335,7 +335,7 @@ class TestPhiloxRaw:
 
 class _GivenRaw:
     """A stand-in generator whose round-one raw outputs are given and whose
-    every double is 0.0 (a chain of one transition ignores the jump's)."""
+    every later output is 0 (a chain of one transition ignores the jump's)."""
 
     def __init__(self, raw: np.ndarray):
         self.raw, self.bit_generator = raw, self
@@ -344,8 +344,11 @@ class _GivenRaw:
         pass
 
     def random_raw(self, size: int) -> np.ndarray:
-        assert size == self.raw.size
-        return self.raw
+        if self.raw is None:
+            return np.zeros(size, dtype=np.uint64)
+        raw, self.raw = self.raw, None
+        assert size == raw.size
+        return raw
 
     def random(self, size: int) -> np.ndarray:
         return np.zeros(size)
@@ -368,10 +371,10 @@ class TestFirstRound:
         kept = int((hold < t).sum())
         # state 1 holds at ``rate`` and jumps to the absorbing state 2: a
         # trial ends in state 2 only if its first holding time is below t
-        run_batch = importlib.import_module("depmark.simulate")._run_batch
-        counts = run_batch(
-            _GivenRaw(raw), raw.size, t, np.array([1.0]), np.array([0]),
-            np.array([rate, 0.0]), np.ones((2, 1)), np.array([[1], [0]]),
+        count = importlib.import_module("depmark.simulate")._count
+        counts = count(
+            [(_GivenRaw(raw), raw.size)], t, np.array([1.0]), np.array([0]),
+            np.array([[-rate, rate], [0.0, 0.0]]),
         )
         assert counts.tolist() == [raw.size - kept, kept]
 
@@ -422,6 +425,26 @@ def random_chain(case: int) -> tuple[depmark.MarkovModel, float, int, int]:
     return depmark.parse("\n".join(lines) + "\n"), t, trials, int(rng.integers(2**63))
 
 
+def reference_count(batches, t, init_cum, init_ids, entries) -> np.ndarray:
+    """The counts of ``depmark.simulate._count`` from the reference loop,
+    one batch at a time, on successor rows padded to one width with
+    cumulative probability 1.0."""
+    exit_rates = -np.diag(entries)
+    jumps = entries.copy()
+    np.fill_diagonal(jumps, 0.0)
+    tables = [importlib.import_module("depmark.simulate")._draw_table(row) for row in jumps]
+    width = max(max(ids.size for _, ids in tables), 1)
+    succ_cum = np.ones((entries.shape[0], width))
+    succ_ids = np.zeros((entries.shape[0], width), dtype=np.int64)
+    for i, (cum, ids) in enumerate(tables):
+        succ_cum[i, : cum.size] = cum
+        succ_ids[i, : ids.size] = ids
+    return sum(
+        reference_batch._run_batch(rng, size, t, init_cum, init_ids, exit_rates, succ_cum, succ_ids)
+        for rng, size in batches
+    )
+
+
 DIFFERENTIAL_CASES = range(60)
 
 
@@ -434,7 +457,7 @@ class TestDifferential:
         model, t, trials, seed = random_chain(case)
         counts = simulate(model, t, trials, seed).counts.tolist()
         sim_module = importlib.import_module("depmark.simulate")
-        monkeypatch.setattr(sim_module, "_run_batch", reference_batch._run_batch)
+        monkeypatch.setattr(sim_module, "_count", reference_count)
         assert simulate(model, t, trials, seed).counts.tolist() == counts
 
     def test_cases_cover_the_branches(self):
@@ -454,3 +477,82 @@ class TestDifferential:
             s.size == 1 and trials % 4 and trials > 100 and t > 0.0
             for s, (_, t, trials, _) in zip(starts, runs)
         )
+
+
+class TestKeyedJump:
+    """One searchsorted on integer keys picks the successor that the float
+    comparison ``(cum < u).sum()`` picks, at and around every cut point."""
+
+    @pytest.mark.parametrize("chain", ["dfwcs", 7, 19, 42])
+    def test_matches_float_comparison_at_cut_points(self, dfwcs, chain):
+        model = dfwcs if chain == "dfwcs" else random_chain(chain)[0]
+        sim_module = importlib.import_module("depmark.simulate")
+        entries = build_generator(model).entries
+        jump = sim_module._keyed_jump(entries)
+        jumps = entries.copy()
+        np.fill_diagonal(jumps, 0.0)
+        states, raws, expected = [], [], []
+        for i, row in enumerate(jumps):
+            cum, ids = sim_module._draw_table(row)
+            if not ids.size:
+                continue
+            cuts = np.floor(cum * 2.0**53).astype(np.uint64)
+            top = np.concatenate([[0, 2**53 - 1], cuts, cuts + 1]).astype(np.uint64)
+            top = top[top < 2**53]
+            raw = np.concatenate([top << 11, (top << 11) | 2047])
+            expected.append(ids[(cum < ((raw >> 11) * 2.0**-53)[:, None]).sum(axis=1)])
+            states.append(np.full(raw.size, i))
+            raws.append(raw)
+        assert len(states) >= 2
+        # the states interleaved, so every query meets the other rows' keys
+        order = np.random.default_rng(0).permutation(sum(s.size for s in states))
+        state, expected = np.concatenate(states)[order], np.concatenate(expected)[order]
+        picked = jump(state, np.concatenate(raws)[order])
+        assert np.array_equal(picked, expected)
+        assert (jumps[state, picked] > 0.0).all()  # never a state the row cannot reach
+
+
+class TestLockstepGroups:
+    """Batches whose trials mostly outlive round one run in groups of
+    fewer than 2 * BATCH_SIZE trials, with the reference loop's counts."""
+
+    # state 1 ends its first holding time before t = 1.5 with probability
+    # 1 - e**-1.5 (78 %), so two batches fill a group and four make two
+    CHAIN = (
+        'state 1 "a" class = operational;\n'
+        'state 2 "b" class = fail_operational;\n'
+        'state 3 "c" class = fail_safe;\n'
+        "trans 1 -> 2 rate = 1;\n"
+        "trans 2 -> 1 rate = 2;\n"
+        "trans 2 -> 3 rate = 0.5;\n"
+    )
+    TRIALS = 3 * BATCH_SIZE + 5
+
+    def test_counts_equal_reference_loop(self, monkeypatch):
+        chain = depmark.parse(self.CHAIN)
+        sim_module = importlib.import_module("depmark.simulate")
+        groups = []
+        run_group = sim_module._run_group
+
+        def counting_run_group(group, *args):
+            groups.append([state.size for _, state, _ in group])
+            return run_group(group, *args)
+
+        monkeypatch.setattr(sim_module, "_run_group", counting_run_group)
+        counts = simulate(chain, 1.5, self.TRIALS, seed=31).counts.tolist()
+        assert [len(g) for g in groups] == [2, 2]
+        assert BATCH_SIZE <= sum(groups[0]) < 2 * BATCH_SIZE
+        monkeypatch.setattr(sim_module, "_count", reference_count)
+        assert simulate(chain, 1.5, self.TRIALS, seed=31).counts.tolist() == counts
+
+    def test_log1p_sees_fewer_than_two_batches(self, monkeypatch):
+        sizes = []
+        log1p = np.log1p
+
+        def counting_log1p(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", counting_log1p)
+        simulate(depmark.parse(self.CHAIN), 1.5, self.TRIALS, seed=31)
+        assert BATCH_SIZE < max(sizes) < 2 * BATCH_SIZE
