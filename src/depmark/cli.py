@@ -49,6 +49,15 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+#: Exit code of each error a command may raise, first match wins; others propagate.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (NumericFailureError, EXIT_NUMERIC),
+    (StepTooLargeError, EXIT_NUMERIC),
+    (ModelParseError, EXIT_USAGE),
+    (DepmarkError, EXIT_FINDING),
+    (OSError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
 
 #: Most points one ``--grid`` may expand to, checked before expanding;
 #: a million rows already make ~10^7 Python floats of CSV export.
@@ -452,18 +461,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace, io.TextIOBase, io.TextIOBase], int] = args.handler
     try:
         return handler(args, out, err)
-    except (NumericFailureError, StepTooLargeError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         err.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    except ModelParseError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except DepmarkError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_FINDING
-    except (OSError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

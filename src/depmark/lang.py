@@ -242,7 +242,7 @@ class _Parser:
             raise _Unexpected(tok, f"state id of at most {sys.get_int_max_str_digits()} digits",
                               f"{len(tok.text)} digits") from None
 
-    def _error(self, span: SourceSpan, message: str, kind: ParseErrorKind) -> None:
+    def _error(self, span: SourceSpan, message: str, kind: ParseErrorKind = ParseErrorKind.SEMANTIC) -> None:
         self.errors.append(ParseError(span, message, kind))
 
     def _synchronize(self) -> None:
@@ -271,7 +271,7 @@ class _Parser:
         self._expect("punct", text=";")
         value = float(value_tok.text)
         if not math.isfinite(value):
-            self._error(value_tok.span, f"parameter value is not finite: {value_tok.text}", ParseErrorKind.SEMANTIC)
+            self._error(value_tok.span, f"parameter value is not finite: {value_tok.text}")
             value = 0.0
         self.params.append(_ParamStmt(name_tok.text, value, coverage, name_tok.span))
 
@@ -323,10 +323,10 @@ class _Parser:
         self._expect("punct", text=";")
         value = float(value_tok.text)
         if name_tok.text != "horizon":
-            self._error(name_tok.span, f"unknown option {name_tok.text!r}", ParseErrorKind.SEMANTIC)
+            self._error(name_tok.span, f"unknown option {name_tok.text!r}")
             return
         if not math.isfinite(value):
-            self._error(value_tok.span, f"option value is not finite: {value_tok.text}", ParseErrorKind.SEMANTIC)
+            self._error(value_tok.span, f"option value is not finite: {value_tok.text}")
             return
         self.options.append(_OptionStmt(name_tok.text, value, name_tok.span))
 
@@ -351,7 +351,7 @@ class _Parser:
             try:
                 return Constant(float(tok.text))
             except ValueError:
-                self._error(tok.span, f"rate constant is not finite: {tok.text}", ParseErrorKind.SEMANTIC)
+                self._error(tok.span, f"rate constant is not finite: {tok.text}")
                 return Constant(0.0)
         if tok := self._accept("ident"):
             refs.append((tok.text, tok.span))
@@ -379,13 +379,12 @@ def parse(text: str) -> MarkovModel:
     parser.run()
 
     # semantic pass: duplicates first, then reference resolution
+    error = parser._error
     param_values: dict[str, float] = {}
     coverage: set[str] = set()
     for stmt in parser.params:
         if stmt.name in param_values:
-            errors.append(
-                ParseError(stmt.span, f"duplicate parameter {stmt.name!r}", ParseErrorKind.SEMANTIC)
-            )
+            error(stmt.span, f"duplicate parameter {stmt.name!r}")
             continue
         param_values[stmt.name] = stmt.value
         if stmt.coverage:
@@ -394,69 +393,48 @@ def parse(text: str) -> MarkovModel:
     states: dict[int, _StateStmt] = {}
     for stmt in parser.states:
         if stmt.id in states:
-            errors.append(
-                ParseError(stmt.span, f"duplicate state id {stmt.id}", ParseErrorKind.SEMANTIC)
-            )
-            continue
-        if not stmt.label:
-            errors.append(ParseError(stmt.label_span, "state label is empty", ParseErrorKind.SEMANTIC))
-            continue
-        if "\r" in stmt.label:
-            errors.append(ParseError(stmt.label_span, "state label contains a carriage return", ParseErrorKind.SEMANTIC))
-            continue
-        states[stmt.id] = stmt
+            error(stmt.span, f"duplicate state id {stmt.id}")
+        elif not stmt.label:
+            error(stmt.label_span, "state label is empty")
+        elif "\r" in stmt.label:
+            error(stmt.label_span, "state label contains a carriage return")
+        else:
+            states[stmt.id] = stmt
 
     if not parser.states:
-        errors.append(ParseError(SourceSpan(1, 1, 1), "document declares no states", ParseErrorKind.SEMANTIC))
+        error(SourceSpan(1, 1, 1), "document declares no states")
 
     for stmt in parser.trans:
         if stmt.source not in states:
-            errors.append(
-                ParseError(stmt.span, f"transition source {stmt.source} is not a declared state", ParseErrorKind.SEMANTIC)
-            )
+            error(stmt.span, f"transition source {stmt.source} is not a declared state")
         if stmt.target not in states:
-            errors.append(
-                ParseError(stmt.target_span, f"transition target {stmt.target} is not a declared state", ParseErrorKind.SEMANTIC)
-            )
+            error(stmt.target_span, f"transition target {stmt.target} is not a declared state")
         for name, span in stmt.refs:
             if name not in param_values:
-                errors.append(
-                    ParseError(span, f"undeclared parameter {name!r} in rate expression", ParseErrorKind.SEMANTIC)
-                )
+                error(span, f"undeclared parameter {name!r} in rate expression")
 
     init_entries: dict[int, tuple[float, SourceSpan]] = {}
     for stmt in parser.inits:
         if stmt.id in init_entries:
-            errors.append(
-                ParseError(stmt.span, f"duplicate init entry for state {stmt.id}", ParseErrorKind.SEMANTIC)
-            )
-            continue
-        if stmt.id not in states:
-            errors.append(
-                ParseError(stmt.span, f"init references undeclared state {stmt.id}", ParseErrorKind.SEMANTIC)
-            )
-            continue
-        init_entries[stmt.id] = (stmt.prob, stmt.span)
+            error(stmt.span, f"duplicate init entry for state {stmt.id}")
+        elif stmt.id not in states:
+            error(stmt.span, f"init references undeclared state {stmt.id}")
+        else:
+            init_entries[stmt.id] = (stmt.prob, stmt.span)
 
     horizon: float | None = None
     for stmt in parser.options:
         if horizon is not None:
-            errors.append(ParseError(stmt.span, "duplicate option 'horizon'", ParseErrorKind.SEMANTIC))
-            continue
-        horizon = stmt.value
+            error(stmt.span, "duplicate option 'horizon'")
+        else:
+            horizon = stmt.value
 
     if not parser.inits and states:
         operational = sorted(s.id for s in states.values() if s.state_class is StateClass.OPERATIONAL)
         if operational:
             init_entries[operational[0]] = (1.0, SourceSpan(1, 1, 1))
         else:
-            errors.append(
-                ParseError(
-                    SourceSpan(1, 1, 1),
-                    "no init statement and no operational state to default to",
-                    ParseErrorKind.SEMANTIC,
-                )
-            )
+            error(SourceSpan(1, 1, 1), "no init statement and no operational state to default to")
 
     if errors:
         raise ModelParseError(errors)

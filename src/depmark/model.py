@@ -11,6 +11,7 @@ because the diagonal is set to the negative off-diagonal sum.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -221,49 +222,40 @@ class ParamRef(RateExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class Sum(RateExpr):
+class _Binary(RateExpr):
+    """``lhs <symbol> rhs``: each subclass names its precedence, symbol and
+    operator."""
+
     lhs: RateExpr
     rhs: RateExpr
-    _PREC = 1
 
     def _eval(self, params: Mapping[str, float]) -> float:
-        return self.lhs._eval(params) + self.rhs._eval(params)
+        return self._OP(self.lhs._eval(params), self.rhs._eval(params))
 
     def _fmt(self) -> str:
-        return f"{_wrap(self.lhs, 1)} + {_wrap(self.rhs, 1, right=True)}"
+        return f"{_wrap(self.lhs, self._PREC)} {self._SYMBOL} {_wrap(self.rhs, self._PREC, right=True)}"
 
 
 @dataclass(frozen=True, slots=True)
-class Difference(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
-    _PREC = 1
-
-    def _eval(self, params: Mapping[str, float]) -> float:
-        return self.lhs._eval(params) - self.rhs._eval(params)
-
-    def _fmt(self) -> str:
-        return f"{_wrap(self.lhs, 1)} - {_wrap(self.rhs, 1, right=True)}"
+class Sum(_Binary):
+    _PREC, _SYMBOL, _OP = 1, "+", operator.add
 
 
 @dataclass(frozen=True, slots=True)
-class Product(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
-    _PREC = 2
+class Difference(_Binary):
+    _PREC, _SYMBOL, _OP = 1, "-", operator.sub
 
-    def _eval(self, params: Mapping[str, float]) -> float:
-        return self.lhs._eval(params) * self.rhs._eval(params)
 
-    def _fmt(self) -> str:
-        return f"{_wrap(self.lhs, 2)} * {_wrap(self.rhs, 2, right=True)}"
+@dataclass(frozen=True, slots=True)
+class Product(_Binary):
+    _PREC, _SYMBOL, _OP = 2, "*", operator.mul
 
 
 def referenced_parameters(expr: RateExpr) -> frozenset[str]:
     """Names of every parameter the expression mentions."""
     if isinstance(expr, ParamRef):
         return frozenset((expr.name,))
-    if isinstance(expr, (Sum, Difference, Product)):
+    if isinstance(expr, _Binary):
         return referenced_parameters(expr.lhs) | referenced_parameters(expr.rhs)
     return frozenset()
 
@@ -573,85 +565,43 @@ def validate(model: MarkovModel) -> ValidationReport:
     transitions from fail-safe/fail-unsafe states, and self-loops.
     """
     findings: list[Finding] = []
-    known = set(model.ids)
 
+    def fatal(code: str, message: str) -> None:
+        findings.append(Finding(Severity.FATAL, code, message))
+
+    def warning(code: str, message: str) -> None:
+        findings.append(Finding(Severity.WARNING, code, message))
+
+    known = set(model.ids)
     for tr in model.transitions:
         for endpoint in (tr.source, tr.target):
             if endpoint not in known:
-                findings.append(
-                    Finding(
-                        Severity.FATAL,
-                        "dangling-state",
-                        f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}",
-                    )
-                )
+                fatal("dangling-state", f"transition {tr.source} -> {tr.target} references undeclared state {endpoint}")
 
     declared = set(model.params)
     for tr in model.transitions:
         for name in sorted(referenced_parameters(tr.rate) - declared):
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "unknown-parameter",
-                    f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}",
-                )
-            )
+            fatal("unknown-parameter", f"transition {tr.source} -> {tr.target} uses undeclared parameter {name!r}")
 
     total = 0.0
     for state_id, prob in sorted(model.initial.items()):
         if state_id not in known:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "dangling-state",
-                    f"initial distribution references undeclared state {state_id}",
-                )
-            )
+            fatal("dangling-state", f"initial distribution references undeclared state {state_id}")
         if not (math.isfinite(prob) and -_INIT_SUM_TOL <= prob <= 1.0 + _INIT_SUM_TOL):
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "initial-distribution",
-                    f"initial probability of state {state_id} is outside [0, 1]: {prob!r}",
-                )
-            )
+            fatal("initial-distribution", f"initial probability of state {state_id} is outside [0, 1]: {prob!r}")
         total += prob
     if not (math.isfinite(total) and abs(total - 1.0) <= _INIT_SUM_TOL):
-        findings.append(
-            Finding(
-                Severity.FATAL,
-                "initial-distribution",
-                f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}",
-            )
-        )
+        fatal("initial-distribution", f"initial probabilities sum to {total!r}, expected 1 within {_INIT_SUM_TOL:g}")
 
     for name in sorted(model.coverage):
         if name not in model.params:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "coverage-domain",
-                    f"coverage designation names undeclared parameter {name!r}",
-                )
-            )
+            fatal("coverage-domain", f"coverage designation names undeclared parameter {name!r}")
         elif not 0.0 <= model.params[name] <= 1.0:
-            findings.append(
-                Finding(
-                    Severity.FATAL,
-                    "coverage-domain",
-                    f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]",
-                )
-            )
+            fatal("coverage-domain", f"coverage parameter {name!r} = {model.params[name]!r} is outside [0, 1]")
 
     for tr in model.transitions:
         if tr.source == tr.target and tr.source in known:
-            findings.append(
-                Finding(
-                    Severity.WARNING,
-                    "self-loop",
-                    f"self-loop on state {tr.source} has no effect on the dynamics",
-                )
-            )
+            warning("self-loop", f"self-loop on state {tr.source} has no effect on the dynamics")
 
     # reachability from the initial support, over declared states only
     support = [s for s, p in model.initial.items() if p > 0.0 and s in known]
@@ -670,25 +620,16 @@ def validate(model: MarkovModel) -> ValidationReport:
     unreachable = [s.id for s in model.states if s.id not in seen]
     if unreachable and support:
         listed = ", ".join(str(s) for s in unreachable)
-        findings.append(
-            Finding(
-                Severity.WARNING,
-                "unreachable-state",
-                f"states unreachable from the initial distribution: {listed}",
-            )
-        )
+        warning("unreachable-state", f"states unreachable from the initial distribution: {listed}")
 
     for tr in model.transitions:
         if tr.source in known and tr.source != tr.target:
             cls = model.state(tr.source).state_class
             if cls in (StateClass.FAIL_SAFE, StateClass.FAIL_UNSAFE):
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        "absorbing-class-outflow",
-                        f"state {tr.source} is {cls.keyword} but has an outgoing transition "
-                        f"to {tr.target}; such states are conventionally absorbing",
-                    )
+                warning(
+                    "absorbing-class-outflow",
+                    f"state {tr.source} is {cls.keyword} but has an outgoing transition "
+                    f"to {tr.target}; such states are conventionally absorbing",
                 )
 
     findings.sort(key=lambda f: (f.severity is not Severity.FATAL))

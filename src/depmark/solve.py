@@ -35,22 +35,22 @@ terms are summed in term order.  ``MATRIX_EXP`` exponentiates chunks of
 Q t: each slice gets the compiled Pade step of SciPy's expm (Al-Mohy &
 Higham 2009) through its private kernels, verified on SciPy 1.17.1, and the
 chunk's squarings are stacked products; the slices SciPy would treat as
-diagonal or triangular, a lone slice, or all of them where the kernels are
-missing, take the public scipy.linalg.expm.  Euler and the literal mode march each
+diagonal or triangular, or all of them where the kernels are missing, take
+the public scipy.linalg.expm.  Euler and the literal mode march each
 generator once from 0 to the last grid time over the step lattice, where
 each time is a whole number of dt steps plus, off the lattice, a remainder
-step that Euler takes on that row alone and the literal mode refuses.  ``solve_at`` is row 0 of a
-one-point grid, and every row equals it bit for bit: a power, a window or
-an exponential never depends on the other rows, and the zero weights that
-pad a window add exact zeros.  Only ``MATRIX_EXP`` imports SciPy.  Runaway
-work (``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a
-NumericFailureError.
+step that Euler takes on that row alone and the literal mode refuses.
+``solve_at`` is row 0 of a one-point grid, and every row equals it bit for
+bit: a power, a window or an exponential never depends on the other rows,
+and the zero weights that pad a window add exact zeros.  Only
+``MATRIX_EXP`` imports SciPy.  Runaway work (``UNIFORMIZATION_TERM_CAP``,
+``EULER_STEP_CAP``) is a NumericFailureError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -379,8 +379,6 @@ def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid:
 
     p0 = model.initial_vector()
     times = np.asarray(grid, dtype=float)[:, np.newaxis, np.newaxis]
-    if len(gens) * len(grid) == 1:  # a lone slice shares no work, and SciPy's own loop costs less
-        return _finalize(np.matmul(p0, scipy.linalg.expm(gens * times[0]))).reshape(1, 1, model.n)
     out = np.empty((len(gens) * len(grid), model.n))
     # a slice Q t has the band of its Q, which SciPy reads once per slice and
     # this once per generator, unless t = 0 or a product underflowed to 0;
@@ -480,22 +478,12 @@ _DFWCS_CLASSES = {
 _SHAPE_RTOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class _LiteralRates:
-    lam1: float
-    lam2: float
-    lam3: float
-    lam4: float
-    c: float
-    mu: float
-
-
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_SHAPE_RTOL, abs_tol=1e-15)
 
 
-def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> _LiteralRates:
-    """Recover (lam1..lam4, C, mu) from the generator ``q`` of a
+def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> tuple[float, ...]:
+    """Recover (lam1, lam2, lam3, lam4, C, mu) from the generator ``q`` of a
     structurally matching model.
 
     Works off evaluated generator entries, so parameter overrides are
@@ -551,11 +539,11 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> _LiteralRates:
     for detected, total in groups:
         if total > 0.0 and not _close(detected, total * c):
             raise ShapeMismatchError("failure transitions do not share a single detection coverage")
-    return _LiteralRates(lam1, lam2, lam3, lam4, c, mu)
+    return lam1, lam2, lam3, lam4, c, mu
 
 
 def _literal_run(
-    model: MarkovModel, rates: _LiteralRates, config: SolverConfig, grid: list[float]
+    model: MarkovModel, rates: tuple[float, ...], config: SolverConfig, grid: list[float]
 ) -> tuple[np.ndarray, list[float]]:
     """The literal rows on an ascending grid, and the mass defect after
     each step."""
@@ -565,7 +553,7 @@ def _literal_run(
         if rem:
             raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
     defects: list[float] = []
-    lam1, lam2, lam3, lam4, c, mu = rates.lam1, rates.lam2, rates.lam3, rates.lam4, rates.c, rates.mu
+    lam1, lam2, lam3, lam4, c, mu = rates
     # the coefficients of the seven published update equations, each formed
     # once as the left-to-right product its term spells, so every term keeps
     # its bits.  Note the missing 1 -> 2 inflow in the second equation and
@@ -696,6 +684,4 @@ def solve_euler(model: MarkovModel, config: SolverConfig) -> Trajectory:
     stability guard its entries are nonnegative, so every iterate stays
     a proper distribution.
     """
-    times = _horizon_times(model, config)
-    probs = _euler_rows(model, build_generators(model), config, times)[0]
-    return Trajectory(times=np.asarray(times, dtype=float), probs=probs, ids=model.ids)
+    return solve_grid(model, replace(config, method=Method.EULER), _horizon_times(model, config))

@@ -253,10 +253,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", DFWCS, "--at", "1", "--frobnicate")
         assert code == 2
 
-    def test_fatal_validation_blocks_solve(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("solve", ["--at", "1"]),
+            ("sweep", ["--param", "C", "--values", "0.9", "--at", "1"]),
+            ("simulate", ["--at", "1", "--trials", "10"]),
+        ],
+        ids=["solve", "sweep", "simulate"],
+    )
+    def test_fatal_validation_blocks_solve(self, capsys, tmp_path, command, flags):
         bad = tmp_path / "halfinit.mdl"
         bad.write_text('state 1 "up" class = operational;\ninit 1 = 0.5;\n')
-        code, out, err = run(capsys, "solve", str(bad), "--at", "1")
+        code, out, err = run(capsys, command, str(bad), *flags)
         assert code == 1
         assert out == ""
         assert "initial-distribution" in err

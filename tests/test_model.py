@@ -1,6 +1,8 @@
 """Core model types: rate expressions, parameters, generator, validation."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -104,6 +106,18 @@ class TestRateExpressions:
         # right-associated same-precedence children keep their parens
         assert str(Difference(a, Sum(b, c))) == "A - (B + C)"
         assert str(Sum(Sum(a, b), c)) == "A + B + C"
+
+    def test_binary_nodes_are_frozen_values(self):
+        a, b = ParamRef("A"), Constant(2.0)
+        assert Sum(a, b) != Difference(a, b)
+        assert hash(Product(a, Sum(a, b))) == hash(Product(ParamRef("A"), Sum(a, Constant(2.0))))
+        assert repr(Difference(a, b)) == "Difference(lhs=ParamRef(name='A'), rhs=Constant(value=2.0))"
+        tree = Product(Sum(a, b), Difference(b, a))
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        swapped = dataclasses.replace(tree, lhs=b)
+        assert type(swapped) is Product and swapped == Product(b, Difference(b, a))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.lhs = b
 
 
 class TestParameterSet:
@@ -283,6 +297,13 @@ class TestValidate:
         report = validate(m)
         assert not report.ok
         assert any(f.code == "dangling-state" for f in report.fatal)
+
+    def test_dangling_initial_entry(self):
+        # the parser refuses this first: only a model built in Python gets here
+        report = validate(tiny_model(initial={1: 0.5, 9: 0.5}))
+        assert [(f.code, f.message) for f in report.fatal] == [
+            ("dangling-state", "initial distribution references undeclared state 9")
+        ]
 
     def test_unknown_parameter(self):
         m = tiny_model(transitions=(Transition(1, 2, ParamRef("MISSING")),))

@@ -483,6 +483,28 @@ class TestPaperLiteral:
         with pytest.raises(ShapeMismatchError):
             solve_paper_literal(skewed, SolverConfig(Method.PAPER_LITERAL))
 
+    def test_rejects_unpatterned_repair(self, dfwcs):
+        # 3 -> 2 repairs at MU, not the 2 * MU the equations assume
+        new_transitions = tuple(
+            dataclasses.replace(tr, rate=depmark.ParamRef("MU"))
+            if (tr.source, tr.target) == (3, 2) else tr
+            for tr in dfwcs.transitions
+        )
+        skewed = dataclasses.replace(dfwcs, transitions=new_transitions)
+        with pytest.raises(ShapeMismatchError, match="repair rates are not in the 1x / 2x / 1x pattern"):
+            solve_paper_literal(skewed, SolverConfig(Method.PAPER_LITERAL))
+
+    def test_rejects_unequal_backup_rates(self, dfwcs):
+        # row 3 fails at twice row 2's backup rate, with the same coverage
+        new_transitions = tuple(
+            dataclasses.replace(tr, rate=depmark.Product(depmark.Constant(2.0), tr.rate))
+            if (tr.source, tr.target) in ((3, 6), (3, 7)) else tr
+            for tr in dfwcs.transitions
+        )
+        skewed = dataclasses.replace(dfwcs, transitions=new_transitions)
+        with pytest.raises(ShapeMismatchError, match="rows 2 and 3 imply different backup failure rates"):
+            solve_paper_literal(skewed, SolverConfig(Method.PAPER_LITERAL))
+
 
 class TestTrajectoryType:
     def test_rows_are_read_only(self, dfwcs):
@@ -917,7 +939,7 @@ class TestExpmKernels:
             (toy, [1.0, 2.0], [2]),
             (dfwcs.with_params({"MU": 0.0}), [4379.0, 4380.0], [2]),
             (dfwcs, [0.0, 1.0], [1]),
-            (dfwcs, [4380.0], [1]),  # a lone slice
+            (dfwcs, [4380.0], []),  # a lone slice
         ):
             solve_grid(model, EXPM, grid)
             assert calls == public, (model, grid)
