@@ -267,12 +267,12 @@ def _power_ring(p0: np.ndarray, stochs: np.ndarray, base: np.ndarray, size: int,
     return ring
 
 
-def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
+def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
     p0 = model.initial_vector()
     n, times = model.n, len(grid)
     rates = -gens.diagonal(axis1=1, axis2=2).min(axis=1)  # max |Q_ii|: the diagonal is <= 0
     # row r pairs generator r // times with time r % times
-    qs = (rates[:, np.newaxis] * np.asarray(grid, dtype=float)).ravel()
+    qs = (rates[:, np.newaxis] * grid).ravel()
 
     # every window ends past floor(L*t), so absurd horizons fail here,
     # before a span of their terms is allocated
@@ -374,11 +374,11 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
     return exps
 
 
-def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
+def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
     import scipy.linalg  # deferred: costs more to import than the other methods take to run
 
     p0 = model.initial_vector()
-    times = np.asarray(grid, dtype=float)[:, np.newaxis, np.newaxis]
+    times = grid[:, np.newaxis, np.newaxis]
     out = np.empty((len(gens) * len(grid), model.n))
     # a slice Q t has the band of its Q, which SciPy reads once per slice and
     # this once per generator, unless t = 0 or a product underflowed to 0;
@@ -403,57 +403,52 @@ def _euler_guard(gens: np.ndarray, dt: float) -> None:
             )
 
 
-def _lattice_steps(grid: Sequence[float], dt: float) -> list[tuple[int, float]]:
-    """(whole dt steps, remainder step) that reach each time of an ascending
-    grid from 0; a time within 1e-9 of the step lattice has no remainder.
-    A march of more than EULER_STEP_CAP steps (a remainder counts as one)
-    is a NumericFailureError, raised before any step is taken."""
-    last = grid[-1] if len(grid) else 0.0
+def _lattice_steps(times: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of the whole dt steps and the remainder step that reach each
+    time of an ascending grid from 0; a time within 1e-9 of the step lattice
+    has no remainder.  A march of more than EULER_STEP_CAP steps (a remainder
+    counts as one) is a NumericFailureError, raised before any step is taken."""
+    last = float(times[-1]) if len(times) else 0.0
     if last - EULER_STEP_CAP * dt > 1e-9 * max(last, dt):
         raise NumericFailureError(
             f"reaching t = {last:g} with dt = {dt:g} takes more than {EULER_STEP_CAP} steps"
         )
-    steps = []
-    for t in grid:
-        whole = round(t / dt)
-        if abs(whole * dt - t) <= 1e-9 * max(t, dt):
-            steps.append((whole, 0.0))
-        else:
-            whole = math.floor(t / dt)
-            steps.append((whole, t - whole * dt))
-    return steps
+    whole = np.rint(times / dt)
+    off = np.abs(whole * dt - times) > 1e-9 * np.maximum(times, dt)
+    whole[off] = np.floor(times[off] / dt)
+    return whole.astype(int), np.where(off, times - whole * dt, 0.0)
 
 
-def _march(p: _P, step: Callable[[_P], _P], lattice: list[tuple[int, float]]) -> np.ndarray:
-    """Row k is the state after the whole steps of lattice[k], from one
-    pass that applies ``step`` once per step from t = 0."""
-    out = np.empty((len(lattice), len(p)))
+def _march(p: _P, step: Callable[[_P], _P], whole: np.ndarray) -> np.ndarray:
+    """Row k is the state after whole[k] steps, from one pass that applies
+    ``step`` once per step from t = 0."""
+    out = np.empty((len(whole), len(p)))
     done = 0
-    for row, (whole, _) in enumerate(lattice):
-        for _ in range(whole - done):
+    for row, count in enumerate(whole.tolist()):
+        for _ in range(count - done):
             p = step(p)
-        done = whole
+        done = count
         out[row] = p
     return out
 
 
-def _euler_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: list[float]) -> np.ndarray:
+def _euler_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
     """March p_{k+1} = p_k (I + Q dt) once per generator, to the last grid
     time.  A time off the step lattice takes its remainder step on its own
     row, never carried forward, so every row equals a march to that time."""
     dt = config.dt
     _euler_guard(gens, dt)
-    lattice = _lattice_steps(grid, dt)
+    whole, rem = _lattice_steps(grid, dt)
     out = np.empty((len(gens), len(grid), model.n))
     for q, rows in zip(gens, out):
         step_matrix = np.eye(model.n) + q * dt
         # step_matrix.T.dot(p) computes p @ step_matrix (the tests hold the
         # two equal bit for bit) as a single bound call, which keeps the
         # shared march at least as fast as an inline `p @ step_matrix` loop
-        rows[:] = _march(model.initial_vector(), step_matrix.T.dot, lattice)
-        for row, (_, rem) in enumerate(lattice):
-            if rem > 0.0:
-                rows[row] = rows[row] @ (np.eye(model.n) + q * rem)
+        rows[:] = _march(model.initial_vector(), step_matrix.T.dot, whole)
+        # one row at a time, as solve_at takes it: a stacked product may round otherwise
+        for row in np.flatnonzero(rem).tolist():
+            rows[row] = rows[row] @ (np.eye(model.n) + q * rem[row])
     return _finalize(out)
 
 
@@ -543,15 +538,15 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> tuple[float, ..
 
 
 def _literal_run(
-    model: MarkovModel, rates: tuple[float, ...], config: SolverConfig, grid: list[float]
+    model: MarkovModel, rates: tuple[float, ...], config: SolverConfig, grid: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
     """The literal rows on an ascending grid, and the mass defect after
     each step."""
     dt = config.dt
-    lattice = _lattice_steps(grid, dt)
-    for t, (_, rem) in zip(grid, lattice):
-        if rem:
-            raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
+    whole, rem = _lattice_steps(grid, dt)
+    if rem.any():
+        t = grid[np.flatnonzero(rem)[0]].item()
+        raise ValueError(f"time {t!r} is not a multiple of dt = {dt!r}; the literal mode steps verbatim")
     defects: list[float] = []
     lam1, lam2, lam3, lam4, c, mu = rates
     # the coefficients of the seven published update equations, each formed
@@ -583,7 +578,7 @@ def _literal_run(
         return p
 
     # Python floats do the same IEEE arithmetic as numpy scalars, faster
-    return _march(tuple(model.initial_vector().tolist()), step, lattice), defects
+    return _march(tuple(model.initial_vector().tolist()), step, whole), defects
 
 
 def solve_paper_literal(
@@ -603,9 +598,9 @@ def solve_paper_literal(
     rates = _extract_literal_rates(model, build_generator(model).entries)
     if grid is None:
         grid = _horizon_times(model, config)
-    _check_grid(grid)
-    probs, defects = _literal_run(model, rates, config, list(grid))
-    trajectory = Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
+    times = _check_grid(grid)
+    probs, defects = _literal_run(model, rates, config, times)
+    trajectory = Trajectory(times=times, probs=probs, ids=model.ids)
     report = MassDefectReport(
         step_times=config.dt * np.arange(1, len(defects) + 1, dtype=float), defects=np.array(defects)
     )
@@ -616,12 +611,14 @@ def solve_paper_literal(
 # public entry points
 
 
-def _check_grid(grid: Sequence[float]) -> None:
+def _check_grid(grid: Sequence[float]) -> np.ndarray:
+    """A float copy of the grid, once its times are finite, >= 0 and ascending."""
     for k, t in enumerate(grid):
         if not (math.isfinite(t) and t >= 0.0):
             raise ValueError(f"time must be finite and >= 0, got {t!r}")
         if k and t <= grid[k - 1]:
             raise ValueError("time grid must be strictly ascending")
+    return np.array(grid, dtype=float)
 
 
 def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
@@ -631,9 +628,8 @@ def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
     horizon = config.horizon
     if horizon is None:
         horizon = model.horizon if model.horizon is not None else SIX_MONTHS_HOURS
-    _check_grid([horizon])
-    ((steps, rem),) = _lattice_steps([horizon], config.dt)
-    return [k * config.dt for k in range(steps + 1)] + ([horizon] if rem > 0.0 else [])
+    whole, rem = _lattice_steps(_check_grid([horizon]), config.dt)
+    return [k * config.dt for k in range(whole[0] + 1)] + ([horizon] if rem[0] > 0.0 else [])
 
 
 # each method maps (model, (B, n, n) generator stack, config, ascending
@@ -654,9 +650,7 @@ def _solve_stack(
     """Distributions on an ascending grid for each generator of a stack from
     ``build_generators``, as a (B, times, n) array: [b, k] equals ``solve_at``
     at ``grid[k]`` of the model whose Q is ``generators[b]``."""
-    grid = list(grid)
-    _check_grid(grid)
-    return _GRID_SOLVERS[config.method](model, generators, config, grid)
+    return _GRID_SOLVERS[config.method](model, generators, config, _check_grid(grid))
 
 
 def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) -> Trajectory:

@@ -512,3 +512,33 @@ class TestSimulationCap:
         code, _, err = run(capsys, "simulate", str(model), "--at", "100", "--trials", "100")
         assert code == 3
         assert "rounds" in err
+
+
+# one case per refusal of a malformed flag value or table: `{tmp}` stands
+# for a test directory that holds an empty table and a header-only one
+REFUSALS = [
+    (["solve", TOY, "--grid", "0:10"], "error: --grid expects start:stop:step, got '0:10'"),
+    (["solve", TOY, "--grid", "0:x:1"], "error: --grid expects numeric start:stop:step, got '0:x:1'"),
+    (["solve", TOY, "--grid", "0:inf:1"], "error: --grid bounds must be finite"),
+    # the `=` form: argparse reads a bare `-1:10:1` as an option
+    (["solve", TOY, "--grid=-1:10:1"], "error: --grid start must be >= 0, got -1.0"),
+    (["solve", TOY, "--grid", "0:10:0"], "error: --grid step must be positive, got 0.0"),
+    (["solve", TOY, "--grid", "10:0:1"], "error: --grid stop 0.0 is below start 10.0"),
+    (["sweep", TOY, "--param", "L", "--values", ",", "--at", "1"], "error: --values is empty"),
+    (["solve", TOY, "--at", "-1"], "depmark solve: error: argument --at: time must be finite and >= 0, got -1"),
+    (["solve", DFWCS, "--at", "1", "--set", "C=abc"], "error: --set C: 'abc' is not a number"),
+    (["audit", "--table", "{tmp}/empty.csv"], "error: {tmp}/empty.csv: empty table"),
+    (["audit", "--table", "{tmp}/header.csv"], "error: {tmp}/header.csv: table has no data rows"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, last_line", REFUSALS, ids=[" ".join(a for a in argv if a not in (TOY, DFWCS)) for argv, _ in REFUSALS]
+)
+def test_refusal_exits_2(capsys, tmp_path, argv, last_line):
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text("param,R,S,Pfs,Pfu\n")
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == last_line.format(tmp=tmp_path)

@@ -1,5 +1,5 @@
 """Each demo script runs to the end through the public API and prints
-something."""
+something, and so does the README's command-line tour."""
 
 import os
 import subprocess
@@ -25,3 +25,19 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_cli_tour_runs(tmp_path):
+    # the tour calls the `depmark` console script; a shim first on PATH runs
+    # this checkout's package in its place
+    shim = tmp_path / "depmark"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m depmark "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]), PYTHONPATH="src")
+    proc = subprocess.run(
+        ["sh", "demos/cli_tour.sh"], cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("### ") for line in proc.stdout.splitlines()) == 7
+    assert "audit exit code: 1" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,5 +1,6 @@
 """Model language: lexing, parsing, error recovery, canonical output."""
 
+import os
 import re
 
 import pytest
@@ -129,7 +130,8 @@ class TestBundledModels:
 
     def test_repo_data_directories_mirror_the_package(self):
         # the README and the CLI tour use the root paths, so each root data
-        # file keeps exactly one packaged twin, byte for byte
+        # file keeps exactly one packaged twin, byte for byte, and is that
+        # twin: the root directories link to the packaged ones
         for sub, pattern in (("models", "*.mdl"), ("tables", "*.csv")):
             root = sorted((REPO_ROOT / sub).glob(pattern))
             packaged = sorted((REPO_ROOT / "src" / "depmark" / sub).glob(pattern))
@@ -137,6 +139,7 @@ class TestBundledModels:
             assert root, f"no {pattern} under {sub}/"
             for a, b in zip(root, packaged):
                 assert a.read_bytes() == b.read_bytes(), a.name
+                assert os.path.samefile(a, b), a.name
 
 
 class TestReadme:

@@ -518,6 +518,14 @@ class TestTrajectoryType:
         assert np.array_equal(traj.row(0), dfwcs.initial_vector())
         assert traj.ids == (1, 2, 3, 4, 5, 6, 7)
 
+    def test_caller_grid_stays_writable(self, dfwcs):
+        # a trajectory freezes its own copy of the times, not the caller's
+        grid = np.array([0.0, 1.0, 2.0])
+        literal, _ = solve_paper_literal(dfwcs, SolverConfig(Method.PAPER_LITERAL, dt=1.0), grid)
+        for traj in (solve_grid(dfwcs, UNI, grid), literal):
+            assert not traj.times.flags.writeable
+        assert grid.flags.writeable
+
 
 class TestSolverConfig:
     def test_validation(self):
@@ -555,9 +563,9 @@ class TestSolverConfig:
     def test_lattice_steps(self):
         # within 1e-9 of the lattice a time is whole steps; off it, whole
         # steps plus a remainder
-        steps = solve_module._lattice_steps([0.0, 1.0, 1.5, 3.0 + 1e-12, 3.7], 0.5)
-        assert steps[:4] == [(0, 0.0), (2, 0.0), (3, 0.0), (6, 0.0)]
-        assert steps[4][0] == 7 and steps[4][1] == pytest.approx(0.2)
+        whole, rem = solve_module._lattice_steps(np.array([0.0, 1.0, 1.5, 3.0 + 1e-12, 3.7]), 0.5)
+        assert whole.tolist() == [0, 2, 3, 6, 7]
+        assert rem[:4].tolist() == [0.0, 0.0, 0.0, 0.0] and rem[4] == pytest.approx(0.2)
 
     def test_method_names(self):
         assert Method.from_name("uniformization") is Method.UNIFORMIZATION
