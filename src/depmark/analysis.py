@@ -19,7 +19,7 @@ internal consistency, and composes independently failing subsystems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import DepmarkError, MarkovModel, StateClass, build_generators
 
@@ -285,14 +285,16 @@ def audit_table(rows: Iterable[Mapping[str, float] | Sequence[float]]) -> AuditR
     return AuditReport(rows=tuple(audited))
 
 
-def _disambiguated_labels(model: MarkovModel) -> list[str]:
-    seen: dict[str, int] = {}
-    labels: list[str] = []
+def _disambiguated_labels(model: MarkovModel) -> Iterator[str]:
+    """A column name per state: its label, with ``_<id>`` appended until no
+    metric column or earlier state column has that name."""
+    taken = {"t", "R", "S", "Pfs", "Pfu", "mass_defect"}
     for state in model.states:
-        count = seen.get(state.label, 0)
-        seen[state.label] = count + 1
-        labels.append(state.label if count == 0 else f"{state.label}_{state.id}")
-    return labels
+        name = state.label
+        while name in taken:
+            name += f"_{state.id}"
+        taken.add(name)
+        yield name
 
 
 def export_timeseries(
@@ -302,8 +304,8 @@ def export_timeseries(
 ) -> tuple[list[str], list[list[float]]]:
     """Flatten a trajectory into (header, rows) for tabular output.
 
-    Columns: t, one per state label (duplicates get an ``_<id>`` suffix),
-    then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
+    Columns: t, one per state label (a name already taken gets an ``_<id>``
+    suffix), then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
     """
     import numpy as np
     header = ["t", *_disambiguated_labels(model), "R", "S", "Pfs", "Pfu"]

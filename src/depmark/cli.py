@@ -37,11 +37,14 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .lang import ModelParseError, parse
 from .model import DepmarkError, MarkovModel, Method, NumericFailureError, SolverConfig, StepTooLargeError, validate
+
+if TYPE_CHECKING:  # numpy loads on first use: validate and audit never need it
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -72,6 +75,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _exact(x: float) -> str:
+    """A setting for the manifest: %.9g where that reads back as x, else repr."""
+    return _fmt(x) if float(_fmt(x)) == x else repr(x)
+
+
 def _read_input(path: str) -> tuple[str, str]:
     """File text, less any UTF-8 byte-order mark, plus the SHA-256 hex
     digest of the bytes actually read."""
@@ -80,7 +88,7 @@ def _read_input(path: str) -> tuple[str, str]:
     return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     """Expand start:stop:step into an ascending grid.
 
     The stop point is included when it is a whole number of steps from
@@ -105,10 +113,9 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--grid stop {stop!r} is below start {start!r}")
     span = (stop - start) / step + 1e-9
     if span >= GRID_POINT_CAP:
-        raise ValueError(
-            f"--grid {text} has more than {GRID_POINT_CAP} points, beyond the cap"
-        )
-    return [start + k * step for k in range(math.floor(span) + 1)]
+        raise ValueError(f"--grid {text} has more than {GRID_POINT_CAP} points, beyond the cap")
+    import numpy as np
+    return start + np.arange(math.floor(span) + 1) * step
 
 
 def _parse_values(text: str) -> list[float]:
@@ -167,13 +174,13 @@ def _manifest_pairs(
         ("input", f"{input_path} sha256={digest}"),
     ]
     if overrides:
-        pairs.append(("set", " ".join(f"{k}={_fmt(v)}" for k, v in overrides.items())))
+        pairs.append(("set", " ".join(f"{k}={_exact(v)}" for k, v in overrides.items())))
     if solver is not None:
         bits = [f"method={solver.method.value}"]
         if solver.method is Method.UNIFORMIZATION:
-            bits.append(f"eps={_fmt(solver.eps)}")
+            bits.append(f"eps={_exact(solver.eps)}")
         if solver.method in (Method.EULER, Method.PAPER_LITERAL):
-            bits.append(f"dt={_fmt(solver.dt)}")
+            bits.append(f"dt={_exact(solver.dt)}")
         pairs.append(("solver", " ".join(bits)))
     pairs.extend(extra)
     return pairs
@@ -190,9 +197,7 @@ def _emit_table(
         payload = {
             "manifest": {key: value for key, value in manifest},
             "columns": list(columns),
-            "rows": [
-                {col: cell for col, cell in zip(columns, row)} for row in rows
-            ],
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
@@ -231,11 +236,7 @@ def _cmd_validate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        method=Method.from_name(args.method),
-        eps=args.eps,
-        dt=args.dt,
-    )
+    return SolverConfig(method=Method.from_name(args.method), eps=args.eps, dt=args.dt)
 
 
 def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
@@ -248,13 +249,10 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     model, digest, overrides = loaded
 
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        where = ("grid", args.grid)
+        grid, extra = _parse_grid(args.grid), [("grid", args.grid)]
     else:
-        grid = [args.at]
-        where = ("at", _fmt(args.at))
+        grid, extra = [args.at], [("at", _exact(args.at))]
 
-    extra: list[tuple[str, str]] = [where]
     if config.method is Method.PAPER_LITERAL:
         trajectory, report = solve_paper_literal(model, config, grid)
         defect = lambda k: 1.0 - float(trajectory.probs[k].sum())  # noqa: E731
@@ -282,7 +280,7 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     rows = [(row.value, *row.metrics.as_row()[1:]) for row in results]
     manifest = _manifest_pairs(
         "sweep", args.file, digest, overrides, config,
-        [("param", args.param), ("at", _fmt(args.at))],
+        [("param", args.param), ("at", _exact(args.at))],
     )
     _emit_table(out, args.output, manifest, _AUDIT_COLUMNS, rows)
     return EXIT_OK
@@ -314,7 +312,7 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     ]
     manifest = _manifest_pairs(
         "simulate", args.file, digest, overrides, None,
-        [("at", _fmt(args.at)), ("trials", str(args.trials)), ("seed", str(args.seed))],
+        [("at", _exact(args.at)), ("trials", str(args.trials)), ("seed", str(args.seed))],
     )
     _emit_table(out, args.output, manifest, columns, rows)
     return EXIT_OK

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -223,13 +223,6 @@ def _span(q, eps: float):
     x0 = lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)
     lam = lam + np.log1p(q / x0)
     return np.ceil(lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)) + 3
-
-
-def _poisson_window(q: float, eps: float) -> tuple[int, list[float]]:
-    """One row of :func:`_poisson_windows`: (lo, weights) with
-    weights[k - lo] = e^-q q^k / k! over the window."""
-    lo, _, weights = _poisson_windows(np.array([q], dtype=float), eps)
-    return int(lo[0]), weights[0].tolist()
 
 
 def _power_ring(p0: np.ndarray, stochs: np.ndarray, base: np.ndarray, size: int, end: int) -> np.ndarray:
@@ -584,7 +577,7 @@ def _literal_run(
 def solve_paper_literal(
     model: MarkovModel,
     config: SolverConfig,
-    grid: Sequence[float] | None = None,
+    grid: Iterable[float] | None = None,
 ) -> tuple[Trajectory, MassDefectReport]:
     """Replay the published update equations with step ``config.dt``.
 
@@ -596,32 +589,40 @@ def solve_paper_literal(
     with :class:`ShapeMismatchError`.
     """
     rates = _extract_literal_rates(model, build_generator(model).entries)
-    if grid is None:
-        grid = _horizon_times(model, config)
-    times = _check_grid(grid)
+    times = _check_grid(_horizon_times(model, config) if grid is None else grid)
     probs, defects = _literal_run(model, rates, config, times)
     trajectory = Trajectory(times=times, probs=probs, ids=model.ids)
-    report = MassDefectReport(
-        step_times=config.dt * np.arange(1, len(defects) + 1, dtype=float), defects=np.array(defects)
-    )
-    return trajectory, report
+    steps = config.dt * np.arange(1, len(defects) + 1, dtype=float)
+    return trajectory, MassDefectReport(step_times=steps, defects=np.array(defects))
 
 
 # --------------------------------------------------------------------------
 # public entry points
 
 
-def _check_grid(grid: Sequence[float]) -> np.ndarray:
-    """A float copy of the grid, once its times are finite, >= 0 and ascending."""
-    for k, t in enumerate(grid):
+def _check_grid(grid: Iterable[float]) -> np.ndarray:
+    """The grid as a new float array, once its entries are real numbers (else
+    a TypeError, as from math.isfinite) and its times are finite, >= 0 and
+    strictly ascending (else a ValueError on the earliest fault)."""
+    given = grid if isinstance(grid, (Sequence, np.ndarray)) else list(grid)
+    try:
+        times = np.array(given)  # a copy: Trajectory freezes it, never the caller's array
+    except ValueError:  # a ragged nest of sequences
+        times = np.fromiter(given, dtype=object)
+    if times.dtype.kind not in "biuf" or times.ndim != 1:
+        np.frompyfunc(math.isfinite, 1, 1)(np.fromiter(given, dtype=object))  # TypeError on a non-number
+    times = times.astype(float, copy=False)
+    ok = np.isfinite(times) & (times >= 0.0)
+    ok[1:] &= times[1:] > times[:-1]
+    if not ok.all():
+        t = times[ok.argmin()].item()  # the earliest fault
         if not (math.isfinite(t) and t >= 0.0):
             raise ValueError(f"time must be finite and >= 0, got {t!r}")
-        if k and t <= grid[k - 1]:
-            raise ValueError("time grid must be strictly ascending")
-    return np.array(grid, dtype=float)
+        raise ValueError("time grid must be strictly ascending")
+    return times
 
 
-def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
+def _horizon_times(model: MarkovModel, config: SolverConfig) -> np.ndarray:
     """Step times 0, dt, 2 dt, ... up to the horizon (``config.horizon``,
     else the model's, else six months), plus the horizon itself when it
     is off the step lattice."""
@@ -629,7 +630,8 @@ def _horizon_times(model: MarkovModel, config: SolverConfig) -> list[float]:
     if horizon is None:
         horizon = model.horizon if model.horizon is not None else SIX_MONTHS_HOURS
     whole, rem = _lattice_steps(_check_grid([horizon]), config.dt)
-    return [k * config.dt for k in range(whole[0] + 1)] + ([horizon] if rem[0] > 0.0 else [])
+    times = np.arange(whole[0] + 1) * config.dt
+    return np.append(times, horizon) if rem[0] > 0.0 else times
 
 
 # each method maps (model, (B, n, n) generator stack, config, ascending
@@ -644,21 +646,19 @@ _GRID_SOLVERS = {
 }
 
 
-def _solve_stack(
-    model: MarkovModel, generators: np.ndarray, config: SolverConfig, grid: Sequence[float]
-) -> np.ndarray:
+def _solve_stack(model: MarkovModel, generators: np.ndarray, config: SolverConfig, grid: Iterable[float]) -> np.ndarray:
     """Distributions on an ascending grid for each generator of a stack from
     ``build_generators``, as a (B, times, n) array: [b, k] equals ``solve_at``
     at ``grid[k]`` of the model whose Q is ``generators[b]``."""
     return _GRID_SOLVERS[config.method](model, generators, config, _check_grid(grid))
 
 
-def solve_grid(model: MarkovModel, config: SolverConfig, grid: Sequence[float]) -> Trajectory:
+def solve_grid(model: MarkovModel, config: SolverConfig, grid: Iterable[float]) -> Trajectory:
     """Distributions on an ascending grid; row k equals
     ``solve_at(model, config, grid[k])``."""
-    grid = list(grid)
-    probs = _solve_stack(model, build_generators(model), config, grid)[0]
-    return Trajectory(times=np.asarray(grid, dtype=float), probs=probs, ids=model.ids)
+    times = _check_grid(grid)
+    probs = _GRID_SOLVERS[config.method](model, build_generators(model), config, times)[0]
+    return Trajectory(times=times, probs=probs, ids=model.ids)
 
 
 def solve_at(model: MarkovModel, config: SolverConfig, t: float) -> np.ndarray:

@@ -131,6 +131,43 @@ class TestSolve:
         assert doc["rows"][0]["t"] == 2.0
         assert doc["rows"][0]["down"] == pytest.approx(1 - 2.718281828459045**-1.0)
 
+    @pytest.mark.parametrize("labels, header", [
+        # "R" is a metric column and "x_3" the name the second "x" takes
+        (("R", "x", "x", "x_3"), "t,R_1,x,x_3,x_3_4,R,S,Pfs,Pfu"),
+        # the second "x" finds "x_3" taken too, and "mass_defect" is reserved
+        (("x", "x_3", "x", "mass_defect"), "t,x,x_3,x_3_3,mass_defect_4,R,S,Pfs,Pfu"),
+    ])
+    def test_taken_column_names_get_id_suffixes(self, capsys, tmp_path, labels, header):
+        model = tmp_path / "clash.mdl"
+        classes = ("operational", "fail_operational", "fail_safe", "fail_unsafe")
+        model.write_text(
+            "".join(f'state {k} "{label}" class = {cls};\n' for k, (label, cls) in enumerate(zip(labels, classes), 1))
+            + "trans 1 -> 2 rate = 0.5;\ntrans 2 -> 3 rate = 0.2;\ntrans 2 -> 4 rate = 0.1;\n"
+        )
+        code, out, _ = run(capsys, "solve", str(model), "--at", "1")
+        assert code == 0
+        assert [ln for ln in out.splitlines() if not ln.startswith("#")][0] == header
+        code, out, _ = run(capsys, "solve", str(model), "--at", "1", "--output", "json")
+        row = json.loads(out)["rows"][0]
+        assert ",".join(row) == header
+        state1 = header.split(",")[1]
+        assert row[state1] == pytest.approx(math.exp(-0.5))
+        assert row["R"] == pytest.approx(row[state1] + row[header.split(",")[2]])
+
+    @pytest.mark.parametrize("flags, key, recorded", [
+        (["--at", "4380.0000001"], "at", "4380.0000001"),
+        (["--at", "4380.000000000001"], "at", "4380.000000000001"),
+        (["--at", "0.1"], "at", "0.1"),
+        (["--at", "1", "--set", "C=0.1234567890123"], "set", "C=0.1234567890123"),
+        (["--at", "1", "--set", "C=0.95"], "set", "C=0.95"),
+        (["--at", "1", "--eps", "1.0000000001e-12"], "solver", "method=uniformization eps=1.0000000001e-12"),
+        (["--at", "1", "--method", "euler", "--dt", "0.1000000001"], "solver", "method=euler dt=0.1000000001"),
+    ])
+    def test_manifest_records_settings_that_read_back_exactly(self, capsys, flags, key, recorded):
+        code, out, _ = run(capsys, "solve", DFWCS, *flags)
+        assert code == 0
+        assert manifest(out)[key] == recorded
+
     def test_paper_literal_emits_defect_column(self, capsys):
         code, out, _ = run(
             capsys, "solve", DFWCS, "--at", "3", "--method", "paper-literal"
@@ -516,6 +553,20 @@ class TestSimulationCap:
 
 # one case per refusal of a malformed flag value or table: `{tmp}` stands
 # for a test directory that holds an empty table and a header-only one
+@pytest.mark.parametrize("argv", [
+    ["solve", DFWCS, "--grid", "0:10:5"],
+    ["solve", DFWCS, "--method", "paper-literal", "--grid", "0:2:1"],
+    ["sweep", DFWCS, "--param", "C", "--values", "0.9,0.99", "--at", "100"],
+    ["simulate", DFWCS, "--at", "100", "--trials", "100"],
+    ["audit", "--table", TABLE3],
+], ids=["solve", "solve-literal", "sweep", "simulate", "audit"])
+def test_json_rows_have_every_column(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert doc["rows"] and all(list(row) == doc["columns"] for row in doc["rows"])
+
+
 REFUSALS = [
     (["solve", TOY, "--grid", "0:10"], "error: --grid expects start:stop:step, got '0:10'"),
     (["solve", TOY, "--grid", "0:x:1"], "error: --grid expects numeric start:stop:step, got '0:x:1'"),

@@ -108,7 +108,7 @@ class TestDifferential:
         block = reference_block._power_block(model.initial_vector(), (np.eye(n) + q / rate)[np.newaxis], TOP)
         for lt in (0.7, 300.0, 5000.0, 6.0e4, 1.1e5):
             t = lt / rate
-            lo, weights = solve_module._poisson_window(rate * t, UNI.eps)
+            (lo,), _, (weights,) = solve_module._poisson_windows(np.array([rate * t]), UNI.eps)
             acc = np.zeros(n)
             for w, power in zip(weights, block[lo:lo + len(weights)]):
                 acc += w * power

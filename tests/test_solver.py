@@ -231,7 +231,7 @@ class TestGridPaths:
         # rows [0, m) times stoch^m, then the weighted terms summed in order
         q = build_generator(model).entries
         rate = float(np.max(np.abs(np.diag(q))))
-        lo, weights = solve_module._poisson_window(rate * t, eps)
+        (lo,), _, (weights,) = solve_module._poisson_windows(np.array([rate * t]), eps)
         jump = np.eye(model.n) + q / rate
         powers = model.initial_vector()[np.newaxis, :]
         while len(powers) < lo + len(weights):
@@ -247,7 +247,7 @@ class TestGridPaths:
         # term-by-term accumulation of the powers made one step at a time
         q = build_generator(model).entries
         rate = float(np.max(np.abs(np.diag(q))))
-        lo, weights = solve_module._poisson_window(rate * t, eps)
+        (lo,), _, (weights,) = solve_module._poisson_windows(np.array([rate * t]), eps)
         stoch = np.eye(model.n) + q / rate
         power = model.initial_vector()
         for _ in range(lo):
@@ -298,7 +298,7 @@ class TestGridPaths:
         rate = float(np.max(np.abs(np.diag(q))))
         grid = [4000.0, 4380.0]
         for t in grid:
-            lo, weights = solve_module._poisson_window(rate * t, UNI.eps)
+            (lo,), _, (weights,) = solve_module._poisson_windows(np.array([rate * t]), UNI.eps)
             assert 2**15 < lo + len(weights) <= 2**16
         traj = solve_grid(stiff, UNI, grid)
         for k, t in enumerate(grid):
@@ -362,7 +362,7 @@ class TestTermCap:
         # toy L = 0.5: the window at t = 43 ends at term 64, a 64-row
         # block; at t = 44 it ends at 65, which needs 128 rows
         for t, end in ((43.0, 64), (44.0, 65)):
-            lo, weights = solve_module._poisson_window(0.5 * t, UNI.eps)
+            (lo,), _, (weights,) = solve_module._poisson_windows(np.array([0.5 * t]), UNI.eps)
             assert lo + len(weights) == end
         solve_at(toy, UNI, 43.0)
         solve_grid(toy, UNI, [0.0, 10.0, 43.0])
@@ -618,7 +618,7 @@ class TestGridArrays:
         for qs in (np.array(self.QS), np.array(self.QS[::-1]), np.array(self.QS[1:4])):
             first, end, weights = solve_module._poisson_windows(qs, UNI.eps)
             for r, q in enumerate(qs):
-                lo, row = solve_module._poisson_window(q, UNI.eps)
+                (lo,), _, (row,) = solve_module._poisson_windows(np.array([q]), UNI.eps)
                 assert end[r] == lo + len(row)
                 start = lo - first[r]
                 assert start >= 0
@@ -627,13 +627,13 @@ class TestGridArrays:
 
     def test_window_bounds_and_neglected_mass(self):
         for q, bounds in zip(self.QS, self.BOUNDS):
-            lo, weights = solve_module._poisson_window(q, UNI.eps)
+            (lo,), _, (weights,) = solve_module._poisson_windows(np.array([q]), UNI.eps)
             assert (lo, lo + len(weights)) == bounds
             # the tails a window drops, measured on a far wider window
             # from the same recurrence
-            wide_lo, wide = solve_module._poisson_window(q, 1e-30)
+            (wide_lo,), _, (wide,) = solve_module._poisson_windows(np.array([q]), 1e-30)
             for eps in (1e-12, 1e-6):
-                lo, weights = solve_module._poisson_window(q, eps)
+                (lo,), _, (weights,) = solve_module._poisson_windows(np.array([q]), eps)
                 kept = wide[lo - wide_lo:lo - wide_lo + len(weights)]
                 assert np.array_equal(kept, weights)
                 assert math.fsum(wide) - math.fsum(weights) < eps * math.fsum(wide)
