@@ -257,6 +257,10 @@ class AuditReport:
         return not self.flagged
 
 
+#: A metrics table's columns: the swept or audited parameter, then the metrics.
+_TABLE_COLUMNS = ("param", "R", "S", "Pfs", "Pfu")
+
+
 def audit_table(rows: Iterable[Mapping[str, float] | Sequence[float]]) -> AuditReport:
     """Check R + Pfs = S (to 1e-6) and S + Pfu = 1 (to 1e-3) per row.
 
@@ -265,7 +269,7 @@ def audit_table(rows: Iterable[Mapping[str, float] | Sequence[float]]) -> AuditR
     """
     audited: list[AuditRow] = []
     for row in rows:
-        cells = (row[key] for key in ("param", "R", "S", "Pfs", "Pfu")) if isinstance(row, Mapping) else row
+        cells = (row[key] for key in _TABLE_COLUMNS) if isinstance(row, Mapping) else row
         param, r, s, pfs, pfu = map(float, cells)
         closure = r + pfs - s
         total = s + pfu - 1.0
@@ -288,7 +292,7 @@ def audit_table(rows: Iterable[Mapping[str, float] | Sequence[float]]) -> AuditR
 def _disambiguated_labels(model: MarkovModel) -> Iterator[str]:
     """A column name per state: its label, with ``_<id>`` appended until no
     metric column or earlier state column has that name."""
-    taken = {"t", "R", "S", "Pfs", "Pfu", "mass_defect"}
+    taken = {"t", *_TABLE_COLUMNS[1:], "mass_defect"}
     for state in model.states:
         name = state.label
         while name in taken:
@@ -308,7 +312,7 @@ def export_timeseries(
     suffix), then R, S, Pfs, Pfu, and optionally mass_defect(row_index) last.
     """
     import numpy as np
-    header = ["t", *_disambiguated_labels(model), "R", "S", "Pfs", "Pfu"]
+    header = ["t", *_disambiguated_labels(model), *_TABLE_COLUMNS[1:]]
     columns = [trajectory.times, trajectory.probs, *_metric_columns(trajectory.probs, model)]
     if mass_defect is not None:
         header.append("mass_defect")

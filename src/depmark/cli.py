@@ -13,7 +13,8 @@ settings.  Outputs contain no timestamps or machine identifiers, so a
 rerun with the same inputs produces the same bytes.
 
 CSV details: header row then data rows, UTF-8, LF line endings, minimal
-quoting, floats at 9 significant digits.  Inputs may start with a UTF-8
+quoting, ints in full, floats at 9 significant digits (a first column with
+two values that would print alike, as repr).  Inputs may start with a UTF-8
 byte-order mark.  JSON mirrors the same columns as one object per row:
 ``{"manifest": {...}, "columns": [...], "rows": [{column: value, ...},
 ...]}`` with full-precision floats.
@@ -37,7 +38,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import __version__
 from .lang import ModelParseError, parse
@@ -68,11 +69,14 @@ GRID_POINT_CAP = 1_000_000
 #: Most Monte Carlo trials one ``simulate`` may ask for.
 TRIAL_CAP = 1_000_000_000
 
-_AUDIT_COLUMNS = ("param", "R", "S", "Pfs", "Pfu")
-
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _cell(x: float | int | str) -> str:
+    """A CSV cell: text as it is, an int in full, a float at %.9g."""
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else _fmt(x)
 
 
 def _exact(x: float) -> str:
@@ -191,7 +195,7 @@ def _emit_table(
     fmt: str,
     manifest: Sequence[tuple[str, str]],
     columns: Sequence[str],
-    rows: Iterable[Sequence[float | str]],
+    rows: Sequence[Sequence[float | int | str]],
 ) -> None:
     if fmt == "json":
         payload = {
@@ -206,13 +210,22 @@ def _emit_table(
         out.write(f"# {key}: {value}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
+    firsts = {row[0] for row in rows}
+    if len(set(map(_cell, firsts))) < len(firsts):
+        # two times or parameter values print alike: print that column exactly
+        rows = [(repr(row[0]), *row[1:]) for row in rows]
     # one format per row of numbers: no %.9g text needs csv quoting
     numeric_row = ",".join(["%.9g"] * len(columns)) + "\n"
     for row in rows:
         try:
-            out.write(numeric_row % tuple(row))
+            line = numeric_row % tuple(row)
         except TypeError:  # a string cell
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+            line = None
+        # %.9g prints an int as str does unless it gives it an exponent
+        if line is None or "e+" in line:
+            writer.writerow(map(_cell, row))
+        else:
+            out.write(line)
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +282,7 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     config = _solver_config(args)
-    from .analysis import sweep
+    from .analysis import _TABLE_COLUMNS, sweep
     loaded = _load_model(args, err)
     if loaded is None:
         return EXIT_FINDING
@@ -282,7 +295,7 @@ def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
         "sweep", args.file, digest, overrides, config,
         [("param", args.param), ("at", _exact(args.at))],
     )
-    _emit_table(out, args.output, manifest, _AUDIT_COLUMNS, rows)
+    _emit_table(out, args.output, manifest, _TABLE_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -301,13 +314,7 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     result = simulate(model, args.at, args.trials, args.seed)
     columns = ["state", "label", "count", "estimate", "ci99_half_width"]
     rows = [
-        (
-            str(state.id) if args.output == "csv" else state.id,
-            state.label,
-            str(int(result.counts[k])) if args.output == "csv" else int(result.counts[k]),
-            float(result.estimates[k]),
-            float(result.ci99_half_widths[k]),
-        )
+        (state.id, state.label, int(result.counts[k]), float(result.estimates[k]), float(result.ci99_half_widths[k]))
         for k, state in enumerate(model.states)
     ]
     manifest = _manifest_pairs(
@@ -318,21 +325,21 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     return EXIT_OK
 
 
-def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
+def _read_metric_table(path: str, text: str, columns: Sequence[str]) -> list[dict[str, float]]:
     # a row is reported by its line in the file, comment lines included
     lines = enumerate(io.StringIO(text, newline=""), start=1)
     numbered = [(n, line) for n, line in lines if not line.lstrip().startswith("#")]
     reader = csv.DictReader(line for _, line in numbered)
     if reader.fieldnames is None:
         raise ValueError(f"{path}: empty table")
-    missing = [col for col in _AUDIT_COLUMNS if col not in reader.fieldnames]
+    missing = [col for col in columns if col not in reader.fieldnames]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     rows: list[dict[str, float]] = []
     for record in reader:
         lineno = numbered[reader.line_num - 1][0]
         try:
-            row = {col: float(record[col]) for col in _AUDIT_COLUMNS}
+            row = {col: float(record[col]) for col in columns}
         except (TypeError, ValueError):
             raise ValueError(f"{path}: non-numeric row {lineno}") from None
         if not all(map(math.isfinite, row.values())):
@@ -344,11 +351,11 @@ def _read_metric_table(path: str, text: str) -> list[dict[str, float]]:
 
 
 def _cmd_audit(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    from .analysis import CLOSURE_TOL, TOTAL_TOL, audit_table
+    from .analysis import _TABLE_COLUMNS, CLOSURE_TOL, TOTAL_TOL, audit_table
     text, digest = _read_input(args.table)
-    report = audit_table(_read_metric_table(args.table, text))
+    report = audit_table(_read_metric_table(args.table, text, _TABLE_COLUMNS))
 
-    columns = [*_AUDIT_COLUMNS, "closure_defect", "total_defect", "status"]
+    columns = [*_TABLE_COLUMNS, "closure_defect", "total_defect", "status"]
     rows = []
     for row in report.rows:
         problems = [name for name, ok in (("closure", row.closure_ok), ("total", row.total_ok)) if not ok]

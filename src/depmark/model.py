@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -317,15 +317,6 @@ class ParameterSet(Mapping):
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"ParameterSet({inner})"
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ParameterSet):
-            return self._values == other._values
-        if isinstance(other, Mapping):
-            return self._values == dict(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
     def updated(self, overrides: Mapping[str, float]) -> "ParameterSet":
         """New set with ``overrides`` merged in (values re-validated)."""
         merged = dict(self._values)
@@ -447,14 +438,7 @@ class MarkovModel:
         """
         for name, value in overrides.items():
             self._check_override(name, value)
-        return MarkovModel(
-            states=self.states,
-            transitions=self.transitions,
-            params=self.params.updated(overrides),
-            initial=self.initial,
-            coverage=self.coverage,
-            horizon=self.horizon,
-        )
+        return replace(self, params=self.params.updated(overrides))
 
 
 @dataclass(frozen=True, eq=False)

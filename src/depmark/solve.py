@@ -135,9 +135,10 @@ _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
 #: Floats in the windows and (terms, rows, n) weighted powers of one
 #: uniformization chunk of several rows.
 _CHUNK_FLOATS = 1 << 16
-#: (generator, time) slices per chunk of matrix exponentials: a chunk shares
-#: its squarings, and its length bounds the memory of its stacks (one stack
-#: of a 4381-time grid adds megabytes of peak RSS), not the work.
+#: Most (generator, time) slices per chunk of matrix exponentials: a chunk
+#: shares its squarings, and its length, cut further to _CHUNK_FLOATS floats
+#: per stack for n > 32, bounds the memory of its stacks (one stack of a
+#: 4381-time grid adds megabytes of peak RSS), not the work.
 _EXPM_ROWS = 64
 
 
@@ -335,7 +336,7 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
     squarings, done here as stacked products over the slices that still need
     one.  The other slices, or all of them where those kernels cannot be
     imported or take another call form, go through the public function."""
-    import scipy.linalg
+    import scipy.linalg  # deferred: costs more to import than the other methods take to run
 
     index = np.flatnonzero(generic)
     pade, squarings = np.empty((len(index), *stack.shape[1:])), np.zeros(len(index), dtype=int)
@@ -368,20 +369,16 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
 
 
 def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
-    import scipy.linalg  # deferred: costs more to import than the other methods take to run
-
     p0 = model.initial_vector()
     times = grid[:, np.newaxis, np.newaxis]
     out = np.empty((len(gens) * len(grid), model.n))
-    # a slice Q t has the band of its Q, which SciPy reads once per slice and
-    # this once per generator, unless t = 0 or a product underflowed to 0;
     # row r pairs generator r // len(grid) with time r % len(grid)
-    full = np.array([min(scipy.linalg.bandwidth(q)) > 0 for q in gens])
-    nonzero = np.count_nonzero(gens, axis=(1, 2))
-    for start in range(0, len(out), _EXPM_ROWS):
-        g, k = np.divmod(np.arange(start, min(start + _EXPM_ROWS, len(out))), len(grid))
+    below = np.tri(model.n, k=-1, dtype=bool)
+    rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // model.n**2))
+    for start in range(0, len(out), rows):
+        g, k = np.divmod(np.arange(start, min(start + rows, len(out))), len(grid))
         stack = gens[g] * times[k]
-        generic = full[g] & (np.count_nonzero(stack, axis=(1, 2)) == nonzero[g])
+        generic = stack[:, below].any(axis=1) & stack[:, below.T].any(axis=1)
         np.matmul(p0, _expm_slices(stack, generic), out=out[start:start + len(g)])
     return _finalize(out).reshape(len(gens), len(grid), model.n)
 

@@ -593,3 +593,34 @@ def test_refusal_exits_2(capsys, tmp_path, argv, last_line):
     assert code == 2
     assert "Traceback" not in err
     assert err.splitlines()[-1] == last_line.format(tmp=tmp_path)
+
+
+class TestFirstColumn:
+    """Distinct times or parameter values never print as one CSV row."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep", DFWCS, "--param", "C", "--values", "0.9,0.9000000001", "--at", "4380"], "param"),
+        (["solve", TOY, "--grid", "100000:100000.0003:0.0001"], "t"),
+    ])
+    def test_close_values_print_exactly(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        cells = [row[key] for row in data_rows(out)]
+        assert len(cells) > 1 and len(set(cells)) == len(cells)
+        assert all(repr(float(cell)) == cell for cell in cells)
+        code, text, err = run(capsys, *argv, "--output", "json")
+        assert code == 0, err
+        assert [row[key] for row in json.loads(text)["rows"]] == [float(cell) for cell in cells]
+
+    def test_distinct_values_keep_nine_digits(self, capsys):
+        code, out, err = run(capsys, "solve", TOY, "--method", "euler", "--dt", "0.5", "--grid", "0:4:0.7")
+        assert code == 0, err
+        assert [row["t"] for row in data_rows(out)] == ["0", "0.7", "1.4", "2.1", "2.8", "3.5"]
+
+    def test_ints_print_in_full(self):
+        out = io.StringIO()
+        cli._emit_table(out, "csv", [], ["n", "x"], [(1000000000, 0.5), (-12345678901, 1e20)])
+        assert out.getvalue() == "n,x\n1000000000,0.5\n-12345678901,1e+20\n"
+        out = io.StringIO()
+        cli._emit_table(out, "json", [], ["n", "x"], [(1000000000, 0.5)])
+        assert json.loads(out.getvalue())["rows"] == [{"n": 1000000000, "x": 0.5}]

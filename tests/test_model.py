@@ -467,3 +467,36 @@ class TestGeneratorStack:
             with pytest.raises(NegativeRateError) as alone:
                 build_generator(m.with_params({"A": bad}))
             assert str(stacked.value) == str(alone.value)
+
+
+class TestOwnedRules:
+    """Rules that MarkovModel and ParameterSet take from their owners."""
+
+    def test_with_params_keeps_every_other_field(self):
+        model = tiny_model(
+            params=ParameterSet({"C": 0.5, "L": 1.0}),
+            initial={1: 0.25, 2: 0.75},
+            coverage=frozenset({"C"}),
+            horizon=100.0,
+        )
+        varied = model.with_params({"L": 2.0})
+        names = [f.name for f in dataclasses.fields(MarkovModel)]
+        assert "params" in names and len(names) > 1
+        for name in names:
+            if name != "params":
+                assert getattr(varied, name) == getattr(model, name), name
+        assert varied.params == {"C": 0.5, "L": 2.0}
+        assert varied.index_of(2) == 1
+        with pytest.raises(ParameterDomainError):
+            varied.with_params({"C": 1.5})
+
+    def test_parameter_set_compares_as_a_mapping(self):
+        ps = ParameterSet({"A": 1.0, "B": 2.0})
+        assert ps == ParameterSet({"B": 2.0, "A": 1.0})
+        assert ps == {"A": 1.0, "B": 2.0}
+        assert {"A": 1.0, "B": 2.0} == ps
+        assert ps != ParameterSet({"A": 1.0})
+        assert ps != [("A", 1.0), ("B", 2.0)]
+        assert ps != "AB"
+        with pytest.raises(TypeError):
+            hash(ps)

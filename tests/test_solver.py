@@ -17,13 +17,19 @@ import depmark
 import depmark.solve as solve_module
 from conftest import REPO_ROOT
 from depmark import (
+    Constant,
     MarkovModel,
     Method,
     NumericFailureError,
+    ParameterSet,
     SIX_MONTHS_HOURS,
     ShapeMismatchError,
     SolverConfig,
+    State,
+    StateClass,
     StepTooLargeError,
+    Transition,
+    TransitionKind,
     build_generator,
     build_generators,
     parse,
@@ -1004,3 +1010,98 @@ class TestExpmKernels:
         monkeypatch.undo()
         assert len(sizes) > 4381 // solve_module._EXPM_ROWS and public == [1]
         assert max(sizes + public) == solve_module._EXPM_ROWS
+
+
+def _birth_death(n: int) -> MarkovModel:
+    """A chain 1 -> 2 -> ... -> n with repairs back down; state n is fail-safe."""
+    states = [State(i, f"s{i}", StateClass.OPERATIONAL if i < n else StateClass.FAIL_SAFE) for i in range(1, n + 1)]
+    transitions = [Transition(i, i + 1, Constant(0.01)) for i in range(1, n)]
+    transitions += [Transition(i + 1, i, Constant(0.5), TransitionKind.REPAIR) for i in range(1, n - 1)]
+    return MarkovModel(tuple(states), tuple(transitions), ParameterSet(), {1: 1.0})
+
+
+class TestExpmBranch:
+    """Each slice's route follows SciPy's own test on that slice."""
+
+    @staticmethod
+    def _generic(monkeypatch, model, gens, grid):
+        """The ``generic`` flags of the one chunk that _expm_rows builds."""
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(stack, generic):
+            seen.append((stack.copy(), generic.copy()))
+            raise Stop
+
+        monkeypatch.setattr(solve_module, "_expm_slices", record)
+        with pytest.raises(Stop):
+            solve_module._expm_rows(model, gens, EXPM, np.asarray(grid, dtype=float))
+        return seen[0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # inf * 0.0
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_branch_is_scipy_bandwidth_per_slice(self, monkeypatch, seed):
+        import scipy.linalg
+
+        rng = np.random.default_rng(seed)
+        n = 5
+        full = rng.uniform(0.1, 2.0, (n, n))
+        one_band = np.diag(rng.uniform(0.1, 2.0, n - 1), k=1) + np.diag(rng.uniform(-2.0, -0.1, n))
+        corner = np.zeros((n, n))
+        corner[n - 1, 0] = 3.0
+        tiny = full * 10.0 ** rng.uniform(-320, -300, (n, n))  # at t = 1e-14 some products underflow
+        one_inf = np.triu(full)
+        one_inf[2, 1] = np.inf
+        gens = np.stack([
+            full, np.zeros((n, n)), np.triu(full), np.tril(full), one_band, one_band.T,
+            np.diag(np.diag(full)), corner, corner.T + corner, tiny, one_inf, np.full((n, n), np.inf),
+        ])
+        gens[rng.integers(len(gens))] *= -1.0
+        grid = [1.0, 1e-14, 0.0]
+        stack, generic = self._generic(monkeypatch, _birth_death(n), gens, grid)
+        assert len(stack) == len(gens) * len(grid)
+        expected = [min(scipy.linalg.bandwidth(s)) > 0 for s in stack]
+        assert generic.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    def test_public_expm_gets_the_banded_slices_only(self, dfwcs, monkeypatch):
+        import scipy.linalg
+
+        calls, expm = [], scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a.copy())
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        grid = [0.0, 5e-324, 1e-320, 1e-318]
+        q = build_generator(dfwcs).entries
+        rows = solve_grid(dfwcs, EXPM, grid).probs
+        # t = 1e-318 keeps 10 of the 18 entries, above and below the diagonal
+        assert [len(a) for a in calls] == [3]
+        assert all(min(scipy.linalg.bandwidth(s)) == 0 for s in calls[0])
+        assert np.array_equal(calls[0], np.stack([q * t for t in grid[:3]]))
+        monkeypatch.undo()
+        for t, row in zip(grid, rows):
+            assert np.array_equal(row, np.clip(dfwcs.initial_vector() @ scipy.linalg.expm(q * t), 0.0, 1.0))
+
+    @pytest.mark.parametrize("n, points, sizes", [(40, 64, [40, 24]), (300, 3, [1, 1, 1])])
+    def test_chunks_hold_at_most_chunk_floats(self, monkeypatch, n, points, sizes):
+        # 64 slices of a 500-state chain held about 440 MB at once
+        model = _birth_death(n)
+        grid = np.linspace(1.0, 100.0, points)
+        seen, slices = [], solve_module._expm_slices
+
+        def record(stack, generic):
+            seen.append(len(stack))
+            return slices(stack, generic)
+
+        monkeypatch.setattr(solve_module, "_expm_slices", record)
+        probs = solve_grid(model, EXPM, grid).probs
+        monkeypatch.undo()
+        assert seen == sizes
+        assert max(seen) * n * n <= max(n * n, solve_module._CHUNK_FLOATS)
+        for row in (0, -1):
+            assert np.array_equal(probs[row], solve_at(model, EXPM, grid[row]))
