@@ -15,8 +15,8 @@ be applied.  The working tree is never written.
 
 A full run takes over a minute, so it is not part of the test suite;
 ``tests/test_mutants.py`` only checks that every ``old`` text occurs exactly
-once in today's source, so the catalogue cannot go stale.  Standard library
-only.
+once in today's source and that every test a mutant names (file, class and
+function) exists, so the catalogue cannot go stale.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +52,59 @@ MUTANTS: tuple[Mutant, ...] = (
         "rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // model.n**2))",
         "rows = _EXPM_ROWS",
         ("tests/test_solver.py::TestExpmBranch",),
+    ),
+    # the literal update equations, their defects and their grid path
+    Mutant(
+        "literal_repair_from_3_at_mu", "solve.py",
+        "repair, repair2 = mu * dt, 2 * mu * dt",
+        "repair, repair2 = mu * dt, mu * dt",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",),
+    ),
+    Mutant(
+        "literal_keep2_without_coverage", "solve.py",
+        "keep2 = 1 - (lam2 + mu) * c * dt",
+        "keep2 = 1 - (lam2 * c + mu) * dt",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",),
+    ),
+    Mutant(
+        "literal_unsafe_state_loses_its_mass", "solve.py",
+        "unsafe4 * p4 + unsafe5 * p5 + p7,",
+        "unsafe4 * p4 + unsafe5 * p5,",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",
+         "tests/test_solver.py::TestPaperLiteral"),
+    ),
+    Mutant(
+        "literal_defect_without_the_unsafe_state", "solve.py",
+        "p[3] + p[4] + p[5] + p[6])",
+        "p[3] + p[4] + p[5])",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",
+         "tests/test_solver.py::TestPaperLiteral"),
+    ),
+    Mutant(
+        "literal_step_times_from_zero", "solve.py",
+        "steps = config.dt * np.arange(1, len(defects) + 1, dtype=float)",
+        "steps = config.dt * np.arange(len(defects), dtype=float)",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",),
+    ),
+    Mutant(
+        "literal_stack_takes_the_first_generator", "solve.py",
+        "[_literal_run(model, _extract_literal_rates(model, q), config, grid)[0] for q in gens]",
+        "[_literal_run(model, _extract_literal_rates(model, gens[0]), config, grid)[0] for q in gens]",
+        ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",),
+    ),
+    Mutant(
+        "literal_takes_no_remainder_check", "solve.py",
+        "    if rem.any():\n",
+        "    if False:\n",
+        ("tests/test_solver.py::TestPaperLiteral::test_misaligned_time_rejected",),
+    ),
+    Mutant(
+        "literal_checks_the_grid_before_the_shape", "solve.py",
+        "    rates = _extract_literal_rates(model, build_generator(model).entries)\n"
+        "    times = _check_grid(_horizon_times(model, config) if grid is None else grid)\n",
+        "    times = _check_grid(_horizon_times(model, config) if grid is None else grid)\n"
+        "    rates = _extract_literal_rates(model, build_generator(model).entries)\n",
+        ("tests/test_solver.py::TestPaperLiteral::test_error_precedence_of_both_entry_points",),
     ),
     # model copies and parameter equality
     Mutant(

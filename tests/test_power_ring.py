@@ -1,6 +1,8 @@
 """The uniformization power ring against the power block it replaced
 (``tests/reference_block.py``): the same rows bit for bit, at any window
-offset, and memory that follows the window width, not L*t."""
+offset, and memory that follows the window width, not L*t.  The peak
+memory of the literal march, at the step cap and in a sweep, is bounded here
+too, with the same child-process helper."""
 
 import os
 import subprocess
@@ -162,6 +164,25 @@ class TestMemory:
         plain = peak_rss_mb("depmark.solve_at(dfwcs, cfg, 4380.0)")
         stiff = peak_rss_mb("depmark.solve_at(dfwcs.with_params({'MU': 60.0}), cfg, 4380.0)")
         assert stiff - plain <= 5.0, (plain, stiff)
+
+    def test_literal_march_memory_at_the_step_cap_and_in_a_sweep(self):
+        # solve_paper_literal keeps the grid rows and one defect per step: at
+        # the cap, a list of 1e6 Python floats (about 32 MB) and their array;
+        # measured 32.4 MB above the plain child on a 2-core x86-64 Linux
+        # host, numpy 2.4.6, so the bound leaves 8 MB.  The grid path keeps
+        # only the grid rows of each generator: a stack of 201 coverages at
+        # six months, whose steps would be 49 MB, stays near the plain child
+        literal = "lit = depmark.SolverConfig(depmark.Method.PAPER_LITERAL, dt=1.0)\n"
+        plain = peak_rss_mb(literal)
+        capped = peak_rss_mb(
+            literal + "traj, report = depmark.solve_paper_literal(dfwcs, lit, np.linspace(0.0, 1e6, 1001))\n"
+            "assert len(traj) == 1001 and len(report.defects) == depmark.solve.EULER_STEP_CAP\n"
+        )
+        swept = peak_rss_mb(
+            literal + "assert len(depmark.sweep(dfwcs, 'C', np.linspace(0.0, 1.0, 201), 4380.0, lit)) == 201\n"
+        )
+        assert capped - plain <= 40.0, (plain, capped)
+        assert swept - plain <= 5.0, (plain, swept)
 
     def test_forty_states_at_five_million_terms_under_one_gib(self):
         # a block from term 0 would be 2^23 powers of 40 states, 2.5 GiB;

@@ -433,6 +433,25 @@ class TestPaperLiteral:
         with pytest.raises(ValueError):
             solve_paper_literal(dfwcs, cfg, grid=[0.5])
 
+    @pytest.mark.parametrize("name, grid, from_literal, from_grid", [
+        ("toy", [0.5], (ShapeMismatchError, "^literal mode needs states"), (ShapeMismatchError, "^literal mode needs")),
+        ("toy", [2.0, 1.0], (ShapeMismatchError, "^literal mode needs states"), (ValueError, "^time grid must be")),
+        ("dfwcs", [0.5, 2e6], (NumericFailureError, "takes more than"), (NumericFailureError, "takes more than")),
+        ("dfwcs", [], None, None),
+    ])
+    def test_error_precedence_of_both_entry_points(self, request, name, grid, from_literal, from_grid):
+        # solve_paper_literal checks the shape before the grid, solve_grid the
+        # grid first; both split the grid with the step cap before they
+        # refuse a time off the lattice
+        model, cfg = request.getfixturevalue(name), SolverConfig(Method.PAPER_LITERAL, dt=1.0)
+        for solve, expected in ((lambda: solve_paper_literal(model, cfg, grid)[0], from_literal),
+                                (lambda: solve_grid(model, cfg, grid), from_grid)):
+            if expected is None:
+                assert len(solve()) == 0
+            else:
+                with pytest.raises(expected[0], match=expected[1]):
+                    solve()
+
     def test_default_horizon_is_model_option(self, dfwcs):
         traj, _ = solve_paper_literal(dfwcs, SolverConfig(Method.PAPER_LITERAL, dt=1.0))
         assert traj.times[-1] == 4380.0
