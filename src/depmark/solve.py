@@ -23,28 +23,26 @@ Four methods:
 Every method solves a stack of generators (``build_generators``) on a
 grid of times at once; a grid is one generator at many times and a sweep
 many generators at one time.  Uniformization computes the Poisson windows
-of many L*t at once (each anchored at its mode and extended by a
-cumulative product along the term axis, over a span that tail bounds fix in
-advance) and takes the rows from the end in chunks whose windows and
-(terms, rows, n) weighted terms hold at most ``_CHUNK_FLOATS`` floats by
-those bounds, or of one row.  A chunk reads a ring of powers
-p0 (I + Q/L)^k per generator that spans its windows, from term 0 by stacked
-doubling or, further out, lifted by the squarings of the terms' higher
-bits: its size follows the windows and the chunk budget, not L*t.  The
-terms are summed in term order.  ``MATRIX_EXP`` exponentiates chunks of
-Q t: each slice gets the compiled Pade step of SciPy's expm (Al-Mohy &
-Higham 2009) through its private kernels, verified on SciPy 1.17.1, and the
-chunk's squarings are stacked products; the slices SciPy would treat as
-diagonal or triangular, or all of them where the kernels are missing, take
-the public scipy.linalg.expm.  Euler and the literal mode march each
-generator once from 0 to the last grid time over the step lattice, where
-each time is a whole number of dt steps plus, off the lattice, a remainder
-step that Euler takes on that row alone and the literal mode refuses.
-``solve_at`` is row 0 of a one-point grid, and every row equals it bit for
-bit: a power, a window or an exponential never depends on the other rows,
-and the zero weights that pad a window add exact zeros.  Only
-``MATRIX_EXP`` imports SciPy.  Runaway work (``UNIFORMIZATION_TERM_CAP``,
-``EULER_STEP_CAP``) is a NumericFailureError.
+of many L*t at once, over a span that tail bounds fix in advance, and
+takes the rows from the end in chunks whose windows and (terms, rows, n)
+weighted terms hold at most ``_CHUNK_FLOATS`` floats by those bounds, or
+of one row.  A chunk reads a ring of powers p0 (I + Q/L)^k per generator
+that spans its windows, so its size follows the windows and the chunk
+budget, not L*t.  The terms are summed in term order.  ``MATRIX_EXP``
+exponentiates chunks of Q t bit for bit as scipy.linalg.expm (Al-Mohy &
+Higham 2009) does, with the chunk's squarings as stacked products (see
+``_expm_slices``).  Euler and the literal mode march each generator once
+from 0 to the last grid time over the step lattice, where each time is a
+whole number of dt steps plus, off the lattice, a remainder step that
+Euler takes on that row alone and the literal mode refuses.  The kernels
+of the first three methods take a start vector and return raw rows, which
+``_grid_rows`` clamps into [0, 1] once, after the method runs, t = 0 rows
+included; literal rows never are, as their leak and overflow are what that
+mode shows.  ``solve_at`` is row 0 of a one-point grid, and every row
+equals it bit for bit: a power, a window or an exponential never depends
+on the other rows, and the zero weights that pad a window add exact zeros.
+Only ``MATRIX_EXP`` imports SciPy.  Runaway work
+(``UNIFORMIZATION_TERM_CAP``, ``EULER_STEP_CAP``) is a NumericFailureError.
 """
 
 from __future__ import annotations
@@ -261,9 +259,8 @@ def _power_ring(p0: np.ndarray, stochs: np.ndarray, base: np.ndarray, size: int,
     return ring
 
 
-def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
-    p0 = model.initial_vector()
-    n, times = model.n, len(grid)
+def _uniformization_rows(p0: np.ndarray, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
+    n, times = len(p0), len(grid)
     rates = -gens.diagonal(axis1=1, axis2=2).min(axis=1)  # max |Q_ii|: the diagonal is <= 0
     # row r pairs generator r // times with time r % times
     qs = (rates[:, np.newaxis] * grid).ravel()
@@ -318,8 +315,7 @@ def _uniformization_rows(model: MarkovModel, gens: np.ndarray, config: SolverCon
         stop -= rows
         bounds = np.maximum.accumulate(widths[max(0, stop - reach):stop][::-1])
         rows = max(1, int(np.count_nonzero(np.arange(1, len(bounds) + 1) * bounds <= _CHUNK_FLOATS // (n + 1))))
-    # rows with L*t = 0 are the initial vector, which is not clamped
-    _finalize(out)
+    # rows with L*t = 0 are the initial vector
     out[qs == 0.0] = p0
     return out.reshape(len(gens), times, n)
 
@@ -368,19 +364,19 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
     return exps
 
 
-def _expm_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
-    p0 = model.initial_vector()
+def _expm_rows(p0: np.ndarray, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
+    n = len(p0)
     times = grid[:, np.newaxis, np.newaxis]
-    out = np.empty((len(gens) * len(grid), model.n))
+    out = np.empty((len(gens) * len(grid), n))
     # row r pairs generator r // len(grid) with time r % len(grid)
-    below = np.tri(model.n, k=-1, dtype=bool)
-    rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // model.n**2))
+    below = np.tri(n, k=-1, dtype=bool)
+    rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // n**2))
     for start in range(0, len(out), rows):
         g, k = np.divmod(np.arange(start, min(start + rows, len(out))), len(grid))
         stack = gens[g] * times[k]
         generic = stack[:, below].any(axis=1) & stack[:, below.T].any(axis=1)
         np.matmul(p0, _expm_slices(stack, generic), out=out[start:start + len(g)])
-    return _finalize(out).reshape(len(gens), len(grid), model.n)
+    return out.reshape(len(gens), len(grid), n)
 
 
 def _euler_guard(gens: np.ndarray, dt: float) -> None:
@@ -422,24 +418,24 @@ def _march(p: _P, step: Callable[[_P], _P], whole: np.ndarray) -> np.ndarray:
     return out
 
 
-def _euler_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
+def _euler_rows(p0: np.ndarray, gens: np.ndarray, config: SolverConfig, grid: np.ndarray) -> np.ndarray:
     """March p_{k+1} = p_k (I + Q dt) once per generator, to the last grid
     time.  A time off the step lattice takes its remainder step on its own
     row, never carried forward, so every row equals a march to that time."""
     dt = config.dt
     _euler_guard(gens, dt)
     whole, rem = _lattice_steps(grid, dt)
-    out = np.empty((len(gens), len(grid), model.n))
+    out = np.empty((len(gens), len(grid), len(p0)))
     for q, rows in zip(gens, out):
-        step_matrix = np.eye(model.n) + q * dt
+        step_matrix = np.eye(len(p0)) + q * dt
         # step_matrix.T.dot(p) computes p @ step_matrix (the tests hold the
         # two equal bit for bit) as a single bound call, which keeps the
         # shared march at least as fast as an inline `p @ step_matrix` loop
-        rows[:] = _march(model.initial_vector(), step_matrix.T.dot, whole)
+        rows[:] = _march(p0, step_matrix.T.dot, whole)
         # one row at a time, as solve_at takes it: a stacked product may round otherwise
         for row in np.flatnonzero(rem).tolist():
-            rows[row] = rows[row] @ (np.eye(model.n) + q * rem[row])
-    return _finalize(out)
+            rows[row] = rows[row] @ (np.eye(len(p0)) + q * rem[row])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +524,7 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> tuple[float, ..
 
 
 def _literal_run(
-    model: MarkovModel, rates: tuple[float, ...], config: SolverConfig, grid: np.ndarray
+    p0: np.ndarray, rates: tuple[float, ...], config: SolverConfig, grid: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
     """The literal rows on an ascending grid, and the mass defect after
     each step."""
@@ -568,7 +564,7 @@ def _literal_run(
         return p
 
     # Python floats do the same IEEE arithmetic as numpy scalars, faster
-    return _march(tuple(model.initial_vector().tolist()), step, whole), defects
+    return _march(tuple(p0.tolist()), step, whole), defects
 
 
 def solve_paper_literal(
@@ -587,7 +583,7 @@ def solve_paper_literal(
     """
     rates = _extract_literal_rates(model, build_generator(model).entries)
     times = _check_grid(_horizon_times(model, config) if grid is None else grid)
-    probs, defects = _literal_run(model, rates, config, times)
+    probs, defects = _literal_run(model.initial_vector(), rates, config, times)
     trajectory = Trajectory(times=times, probs=probs, ids=model.ids)
     steps = config.dt * np.arange(1, len(defects) + 1, dtype=float)
     return trajectory, MassDefectReport(step_times=steps, defects=np.array(defects))
@@ -631,30 +627,36 @@ def _horizon_times(model: MarkovModel, config: SolverConfig) -> np.ndarray:
     return np.append(times, horizon) if rem[0] > 0.0 else times
 
 
-# each method maps (model, (B, n, n) generator stack, config, ascending
-# grid) to a (B, times, n) block: one row per generator and grid time
+# each method maps (p0, (B, n, n) generator stack, config, ascending grid)
+# to an unclamped (B, times, n) block: one row per generator and grid time
 _GRID_SOLVERS = {
     Method.UNIFORMIZATION: _uniformization_rows,
     Method.MATRIX_EXP: _expm_rows,
     Method.EULER: _euler_rows,
-    Method.PAPER_LITERAL: lambda model, gens, config, grid: np.array(
-        [_literal_run(model, _extract_literal_rates(model, q), config, grid)[0] for q in gens]
-    ).reshape(len(gens), len(grid), model.n),
 }
+
+
+def _grid_rows(model: MarkovModel, gens: np.ndarray, config: SolverConfig, times: np.ndarray) -> np.ndarray:
+    """The configured method's (B, times, n) rows on a checked grid, clamped here unless literal."""
+    p0 = model.initial_vector()
+    if config.method is not Method.PAPER_LITERAL:
+        return _finalize(_GRID_SOLVERS[config.method](p0, gens, config, times))
+    rows = [_literal_run(p0, _extract_literal_rates(model, q), config, times)[0] for q in gens]
+    return np.array(rows).reshape(len(gens), len(times), model.n)
 
 
 def _solve_stack(model: MarkovModel, generators: np.ndarray, config: SolverConfig, grid: Iterable[float]) -> np.ndarray:
     """Distributions on an ascending grid for each generator of a stack from
     ``build_generators``, as a (B, times, n) array: [b, k] equals ``solve_at``
     at ``grid[k]`` of the model whose Q is ``generators[b]``."""
-    return _GRID_SOLVERS[config.method](model, generators, config, _check_grid(grid))
+    return _grid_rows(model, generators, config, _check_grid(grid))
 
 
 def solve_grid(model: MarkovModel, config: SolverConfig, grid: Iterable[float]) -> Trajectory:
     """Distributions on an ascending grid; row k equals
     ``solve_at(model, config, grid[k])``."""
     times = _check_grid(grid)
-    probs = _GRID_SOLVERS[config.method](model, build_generators(model), config, times)[0]
+    probs = _grid_rows(model, build_generators(model), config, times)[0]
     return Trajectory(times=times, probs=probs, ids=model.ids)
 
 

@@ -49,7 +49,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "expm_chunk_counts_slices_not_floats", "solve.py",
-        "rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // model.n**2))",
+        "rows = min(_EXPM_ROWS, max(1, _CHUNK_FLOATS // n**2))",
         "rows = _EXPM_ROWS",
         ("tests/test_solver.py::TestExpmBranch",),
     ),
@@ -88,8 +88,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "literal_stack_takes_the_first_generator", "solve.py",
-        "[_literal_run(model, _extract_literal_rates(model, q), config, grid)[0] for q in gens]",
-        "[_literal_run(model, _extract_literal_rates(model, gens[0]), config, grid)[0] for q in gens]",
+        "[_literal_run(p0, _extract_literal_rates(model, q), config, times)[0] for q in gens]",
+        "[_literal_run(p0, _extract_literal_rates(model, gens[0]), config, times)[0] for q in gens]",
         ("tests/test_literal.py::test_rows_and_defects_equal_the_tuple_replay",),
     ),
     Mutant(
@@ -105,6 +105,44 @@ MUTANTS: tuple[Mutant, ...] = (
         "    times = _check_grid(_horizon_times(model, config) if grid is None else grid)\n"
         "    rates = _extract_literal_rates(model, build_generator(model).entries)\n",
         ("tests/test_solver.py::TestPaperLiteral::test_error_precedence_of_both_entry_points",),
+    ),
+    # one clamp, in the dispatcher, after the method runs
+    Mutant(
+        "clamp_inside_uniformization", "solve.py",
+        "    return out.reshape(len(gens), times, n)\n",
+        "    return _finalize(out).reshape(len(gens), times, n)\n",
+        ("tests/test_clamp.py::test_kernels_carry_a_start_vector_that_is_not_a_distribution",),
+    ),
+    Mutant(
+        "literal_rows_clamped", "solve.py",
+        "    return np.array(rows).reshape(len(gens), len(times), model.n)\n",
+        "    return _finalize(np.array(rows).reshape(len(gens), len(times), model.n))\n",
+        ("tests/test_literal.py::test_overflow_leaves_the_states_no_equation_names_at_zero",),
+    ),
+    Mutant(
+        "clamp_band_below_at_one", "solve.py",
+        "float(probs.min(initial=0.0)) >= -_BAND",
+        "float(probs.min(initial=0.0)) >= -1.0",
+        ("tests/test_solver.py::TestGridArrays::test_finalize_block_with_one_bad_row",),
+    ),
+    # the Poisson windows and their a priori span
+    Mutant(
+        "window_stops_at_half_eps", "solve.py",
+        "below = weights[:, span - 1::-1] / ratio[:, span - 1::-1] < eps / 4.0",
+        "below = weights[:, span - 1::-1] / ratio[:, span - 1::-1] < eps / 2.0",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "span_one_term_fewer", "solve.py",
+        "return np.ceil(lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)) + 3",
+        "return np.ceil(lam / 3.0 + np.sqrt(lam * lam / 9.0 + 2.0 * q * lam)) + 2",
+        ("tests/test_windows.py",),
+    ),
+    Mutant(
+        "span_without_the_stop_factor", "solve.py",
+        "    lam = lam + np.log1p(q / x0)\n",
+        "",
+        ("tests/test_windows.py",),
     ),
     # model copies and parameter equality
     Mutant(

@@ -1056,7 +1056,7 @@ class TestExpmBranch:
 
         monkeypatch.setattr(solve_module, "_expm_slices", record)
         with pytest.raises(Stop):
-            solve_module._expm_rows(model, gens, EXPM, np.asarray(grid, dtype=float))
+            solve_module._expm_rows(model.initial_vector(), gens, EXPM, np.asarray(grid, dtype=float))
         return seen[0]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # inf * 0.0

@@ -3,6 +3,8 @@ widen-and-retry search they replaced (``tests/reference_windows.py``): the
 same (first, end, weights) bit for bit, one row or many, at every eps the
 solver accepts, with every stop inside the span."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,15 @@ def test_a_stop_outside_the_span_is_refused(monkeypatch):
     # it, at term -1: a span of 2 holds the upper stop alone
     with pytest.raises(NumericFailureError):
         solve_module._poisson_windows(np.array([2.0]), 0.9)
+
+
+@pytest.mark.parametrize("eps", EPS)
+def test_the_span_holds_the_bound_it_is_derived_from(eps):
+    # three terms short of the span lies the whole x from which, in _span's
+    # derivation, Bernstein's bound on term q + x times the stop test's
+    # factor 1 + q/x, and e for rounding, is under eps/4: the windows stop
+    # well inside the span in practice, so only the bound itself shows a
+    # span cut short
+    for q in QS.tolist():
+        x = float(solve_module._span(q, eps)) - 3.0
+        assert x * x / (2.0 * (q + x / 3.0)) >= (math.log(4.0 / eps) + 1.0 + math.log1p(q / x)) * (1.0 - 1e-12)
