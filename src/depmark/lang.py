@@ -157,58 +157,18 @@ class _Unexpected(Exception):
         super().__init__(f"expected {expected}, found {found or token.describe()}")
 
 
-@dataclass(slots=True)
-class _ParamStmt:
-    name: str
-    value: float
-    coverage: bool
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _StateStmt:
-    id: int
-    label: str
-    state_class: StateClass
-    span: SourceSpan
-    label_span: SourceSpan
-
-
-@dataclass(slots=True)
-class _TransStmt:
-    source: int
-    target: int
-    rate: RateExpr
-    kind: TransitionKind
-    span: SourceSpan
-    target_span: SourceSpan
-    refs: list[tuple[str, SourceSpan]]
-
-
-@dataclass(slots=True)
-class _InitStmt:
-    id: int
-    prob: float
-    span: SourceSpan
-
-
-@dataclass(slots=True)
-class _OptionStmt:
-    name: str
-    value: float
-    span: SourceSpan
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token], errors: list[ParseError]):
         self.tokens = tokens
         self.errors = errors
         self.pos = 0
-        self.params: list[_ParamStmt] = []
-        self.states: list[_StateStmt] = []
-        self.trans: list[_TransStmt] = []
-        self.inits: list[_InitStmt] = []
-        self.options: list[_OptionStmt] = []
+        # one tuple per statement, spans last; the first span is that of the token after the keyword
+        self.params: list[tuple[str, float, bool, SourceSpan]] = []  # name, value, coverage
+        self.states: list[tuple[int, str, StateClass, SourceSpan, SourceSpan]] = []  # id, label, class, label span
+        # the transition, its source's and target's spans, and each parameter of the rate with its span
+        self.trans: list[tuple[Transition, SourceSpan, SourceSpan, list[tuple[str, SourceSpan]]]] = []
+        self.inits: list[tuple[int, float, SourceSpan]] = []  # id, probability
+        self.options: list[tuple[float, SourceSpan]] = []  # the horizon, the only option accepted
 
     # token helpers ----------------------------------------------------
 
@@ -273,7 +233,7 @@ class _Parser:
         if not math.isfinite(value):
             self._error(value_tok.span, f"parameter value is not finite: {value_tok.text}")
             value = 0.0
-        self.params.append(_ParamStmt(name_tok.text, value, coverage, name_tok.span))
+        self.params.append((name_tok.text, value, coverage, name_tok.span))
 
     def _parse_state(self) -> None:
         sid, id_span = self._state_id()
@@ -285,9 +245,7 @@ class _Parser:
             allowed = ", ".join(sorted(_CLASS_KEYWORDS))
             raise _Unexpected(cls_tok, f"state class ({allowed})")
         self._expect("punct", text=";")
-        self.states.append(
-            _StateStmt(sid, label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_span, label_tok.span)
-        )
+        self.states.append((sid, label_tok.text, _CLASS_KEYWORDS[cls_tok.text], id_span, label_tok.span))
 
     def _parse_trans(self) -> None:
         source, source_span = self._state_id()
@@ -305,16 +263,14 @@ class _Parser:
                 raise _Unexpected(kind_tok, "transition kind (failure, repair)")
             kind = _KIND_KEYWORDS[kind_tok.text]
         self._expect("punct", text=";")
-        self.trans.append(
-            _TransStmt(source, target, rate, kind, source_span, target_span, refs)
-        )
+        self.trans.append((Transition(source, target, rate, kind), source_span, target_span, refs))
 
     def _parse_init(self) -> None:
         sid, id_span = self._state_id()
         self._expect("punct", text="=")
         prob_tok = self._expect("number", "probability")
         self._expect("punct", text=";")
-        self.inits.append(_InitStmt(sid, float(prob_tok.text), id_span))
+        self.inits.append((sid, float(prob_tok.text), id_span))
 
     def _parse_option(self) -> None:
         name_tok = self._expect("ident", "option name")
@@ -328,7 +284,7 @@ class _Parser:
         if not math.isfinite(value):
             self._error(value_tok.span, f"option value is not finite: {value_tok.text}")
             return
-        self.options.append(_OptionStmt(name_tok.text, value, name_tok.span))
+        self.options.append((value, name_tok.span))
 
     # expressions: expr := term (('+'|'-') term)*, term := factor ('*' factor)*,
     # factor := NUMBER | NAME | '(' expr ')'; left-associative throughout
@@ -382,57 +338,57 @@ def parse(text: str) -> MarkovModel:
     error = parser._error
     param_values: dict[str, float] = {}
     coverage: set[str] = set()
-    for stmt in parser.params:
-        if stmt.name in param_values:
-            error(stmt.span, f"duplicate parameter {stmt.name!r}")
+    for name, value, is_coverage, span in parser.params:
+        if name in param_values:
+            error(span, f"duplicate parameter {name!r}")
             continue
-        param_values[stmt.name] = stmt.value
-        if stmt.coverage:
-            coverage.add(stmt.name)
+        param_values[name] = value
+        if is_coverage:
+            coverage.add(name)
 
-    states: dict[int, _StateStmt] = {}
-    for stmt in parser.states:
-        if stmt.id in states:
-            error(stmt.span, f"duplicate state id {stmt.id}")
-        elif not stmt.label:
-            error(stmt.label_span, "state label is empty")
-        elif "\r" in stmt.label:
-            error(stmt.label_span, "state label contains a carriage return")
+    states: dict[int, State] = {}
+    for sid, label, state_class, span, label_span in parser.states:
+        if sid in states:
+            error(span, f"duplicate state id {sid}")
+        elif not label:
+            error(label_span, "state label is empty")
+        elif "\r" in label:
+            error(label_span, "state label contains a carriage return")
         else:
-            states[stmt.id] = stmt
+            states[sid] = State(sid, label, state_class)
 
     if not parser.states:
         error(SourceSpan(1, 1, 1), "document declares no states")
 
-    for stmt in parser.trans:
-        if stmt.source not in states:
-            error(stmt.span, f"transition source {stmt.source} is not a declared state")
-        if stmt.target not in states:
-            error(stmt.target_span, f"transition target {stmt.target} is not a declared state")
-        for name, span in stmt.refs:
+    for tr, source_span, target_span, refs in parser.trans:
+        if tr.source not in states:
+            error(source_span, f"transition source {tr.source} is not a declared state")
+        if tr.target not in states:
+            error(target_span, f"transition target {tr.target} is not a declared state")
+        for name, span in refs:
             if name not in param_values:
                 error(span, f"undeclared parameter {name!r} in rate expression")
 
-    init_entries: dict[int, tuple[float, SourceSpan]] = {}
-    for stmt in parser.inits:
-        if stmt.id in init_entries:
-            error(stmt.span, f"duplicate init entry for state {stmt.id}")
-        elif stmt.id not in states:
-            error(stmt.span, f"init references undeclared state {stmt.id}")
+    initial: dict[int, float] = {}
+    for sid, prob, span in parser.inits:
+        if sid in initial:
+            error(span, f"duplicate init entry for state {sid}")
+        elif sid not in states:
+            error(span, f"init references undeclared state {sid}")
         else:
-            init_entries[stmt.id] = (stmt.prob, stmt.span)
+            initial[sid] = prob
 
     horizon: float | None = None
-    for stmt in parser.options:
+    for value, span in parser.options:
         if horizon is not None:
-            error(stmt.span, "duplicate option 'horizon'")
+            error(span, "duplicate option 'horizon'")
         else:
-            horizon = stmt.value
+            horizon = value
 
     if not parser.inits and states:
         operational = sorted(s.id for s in states.values() if s.state_class is StateClass.OPERATIONAL)
         if operational:
-            init_entries[operational[0]] = (1.0, SourceSpan(1, 1, 1))
+            initial[operational[0]] = 1.0
         else:
             error(SourceSpan(1, 1, 1), "no init statement and no operational state to default to")
 
@@ -440,10 +396,10 @@ def parse(text: str) -> MarkovModel:
         raise ModelParseError(errors)
 
     return MarkovModel(
-        states=tuple(State(s.id, s.label, s.state_class) for s in states.values()),
-        transitions=tuple(Transition(t.source, t.target, t.rate, t.kind) for t in parser.trans),
+        states=states.values(),
+        transitions=[tr for tr, *_ in parser.trans],
         params=ParameterSet(param_values),
-        initial={sid: prob for sid, (prob, _) in init_entries.items()},
+        initial=initial,
         coverage=frozenset(coverage),
         horizon=horizon,
     )

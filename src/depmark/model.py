@@ -224,7 +224,7 @@ class ParamRef(RateExpr):
 @dataclass(frozen=True, slots=True)
 class _Binary(RateExpr):
     """``lhs <symbol> rhs``: each subclass names its precedence, symbol and
-    operator."""
+    operator, and with empty ``__slots__`` keeps the methods generated here."""
 
     lhs: RateExpr
     rhs: RateExpr
@@ -236,18 +236,18 @@ class _Binary(RateExpr):
         return f"{_wrap(self.lhs, self._PREC)} {self._SYMBOL} {_wrap(self.rhs, self._PREC, right=True)}"
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(_Binary):
+    __slots__ = ()
     _PREC, _SYMBOL, _OP = 1, "+", operator.add
 
 
-@dataclass(frozen=True, slots=True)
 class Difference(_Binary):
+    __slots__ = ()
     _PREC, _SYMBOL, _OP = 1, "-", operator.sub
 
 
-@dataclass(frozen=True, slots=True)
 class Product(_Binary):
+    __slots__ = ()
     _PREC, _SYMBOL, _OP = 2, "*", operator.mul
 
 

@@ -286,6 +286,50 @@ MUTANTS: tuple[Mutant, ...] = (
         "if False:",
         ("tests/test_lang.py", "tests/test_lang_golden.py"),
     ),
+    # the semantic pass over the parser's statement tuples
+    Mutant(
+        "default_init_takes_the_highest_operational", "lang.py",
+        "initial[operational[0]] = 1.0",
+        "initial[operational[-1]] = 1.0",
+        ("tests/test_lang.py::TestBundledModels::test_default_initial_is_the_lowest_id_operational_state",),
+    ),
+    Mutant(
+        "label_carriage_return_accepted", "lang.py",
+        'elif "\\r" in label:',
+        "elif False:",
+        ("tests/test_lang.py::TestParseErrors::test_carriage_return_in_label_is_semantic",),
+    ),
+    Mutant(
+        "trans_target_checked_as_source", "lang.py",
+        "if tr.target not in states:",
+        "if tr.source not in states:",
+        ("tests/test_lang.py::TestParseErrors::test_undeclared_trans_endpoint",),
+    ),
+    Mutant(
+        "init_of_an_undeclared_state_accepted", "lang.py",
+        "elif sid not in states:",
+        "elif False:",
+        ("tests/test_lang.py::TestParseErrors::test_undeclared_init_state",),
+    ),
+    Mutant(
+        "rate_references_unchecked", "lang.py",
+        "if name not in param_values:",
+        "if False:",
+        ("tests/test_lang.py::TestParseErrors::test_undeclared_param_in_rate",),
+    ),
+    Mutant(
+        "coverage_flag_ignored", "lang.py",
+        "if is_coverage:",
+        "if False:",
+        ("tests/test_lang.py::TestGrammar::test_coverage_flag",),
+    ),
+    # the binary rate nodes inherit _Binary's slots and methods
+    Mutant(
+        "sum_without_slots", "model.py",
+        '    __slots__ = ()\n    _PREC, _SYMBOL, _OP = 1, "+", operator.add\n',
+        '    _PREC, _SYMBOL, _OP = 1, "+", operator.add\n',
+        ("tests/test_model.py::TestRateExpressions::test_expression_nodes_have_no_instance_dict",),
+    ),
 )
 
 

@@ -1,7 +1,7 @@
 """The simulator's batch loop as it was before it kept per-state settle
 counts and skipped the draws of a single initial state, kept verbatim as
 the reference for the differential tests: for the same generator and
-tables, ``depmark.simulate._run_batch`` must return the same counts."""
+tables, ``depmark.simulate._count`` must return the same counts."""
 
 import numpy as np
 

@@ -440,6 +440,17 @@ class TestExportTimeseries:
             mismatched += list(single.as_row()) != row[:1] + row[-4:]
         assert mismatched == 0
 
+    def test_metrics_equals_metrics_rows_on_a_twelve_state_class(self):
+        # numpy sums 8 or more entries of one vector pairwise, and about one
+        # in five of these rows would then differ in the last bit
+        model = depmark.parse(
+            "".join(f'state {k} "s{k}" class = operational;\n' for k in range(1, 13))
+            + 'state 13 "down" class = fail_safe;\n'
+        )
+        probs = np.random.default_rng(2024).random((500, 13))
+        traj = depmark.Trajectory(times=np.arange(500.0), probs=probs, ids=model.ids)
+        assert [metrics(p, model, t) for t, p in zip(traj.times, probs)] == metrics_rows(traj, model)
+
     def test_empty_trajectory(self, dfwcs):
         traj = solve_grid(dfwcs, SolverConfig(), [])
         assert export_timeseries(traj, dfwcs)[1] == []

@@ -112,6 +112,13 @@ class TestBundledModels:
         assert toy.initial == {1: 1.0}
         assert toy.horizon is None
 
+    def test_default_initial_is_the_lowest_id_operational_state(self):
+        doc = (
+            'state 9 "c" class = operational; state 2 "f" class = fail_safe;\n'
+            'state 5 "a" class = operational; state 7 "b" class = operational;\n'
+        )
+        assert parse(doc).initial == {5: 1.0}
+
     def test_bundled_round_trip(self, dfwcs, dfwcs_pid, toy):
         for model in (dfwcs, dfwcs_pid, toy):
             again = parse(serialize(model))

@@ -107,6 +107,11 @@ class TestRateExpressions:
         assert str(Difference(a, Sum(b, c))) == "A - (B + C)"
         assert str(Sum(Sum(a, b), c)) == "A + B + C"
 
+    def test_expression_nodes_have_no_instance_dict(self):
+        a = ParamRef("A")
+        for node in (Constant(1.0), a, Sum(a, a), Difference(a, a), Product(a, a)):
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
     def test_binary_nodes_are_frozen_values(self):
         a, b = ParamRef("A"), Constant(2.0)
         assert Sum(a, b) != Difference(a, b)
