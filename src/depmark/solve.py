@@ -22,13 +22,12 @@ Four methods:
 
 Every method solves a stack of generators (``build_generators``) on a
 grid of times at once; a grid is one generator at many times and a sweep
-many generators at one time.  Uniformization computes the Poisson windows
-of many L*t at once, over a span that tail bounds fix in advance, and
-takes the rows from the end in chunks whose windows and (terms, rows, n)
-weighted terms hold at most ``_CHUNK_FLOATS`` floats by those bounds, or
-of one row.  A chunk reads a ring of powers p0 (I + Q/L)^k per generator
-that spans its windows, so its size follows the windows and the chunk
-budget, not L*t.  The terms are summed in term order.  ``MATRIX_EXP``
+many generators at one time.  Uniformization takes the rows from the end
+in chunks whose windows and (terms, rows, n) weighted terms hold at most
+``_CHUNK_FLOATS`` floats by a priori tail bounds, or one row.  Rows share
+one Poisson window per distinct L*t, kept across chunks, and a chunk reads
+a ring of powers p0 (I + Q/L)^k per generator that spans its windows, not
+L*t; the terms are summed in term order.  ``MATRIX_EXP``
 exponentiates chunks of Q t bit for bit as scipy.linalg.expm (Al-Mohy &
 Higham 2009) does, with the chunk's squarings as stacked products (see
 ``_expm_slices``).  Euler and the literal mode march each generator once
@@ -280,18 +279,30 @@ def _uniformization_rows(p0: np.ndarray, gens: np.ndarray, config: SolverConfig,
     # L = 0, to keep them finite) that spans its rows' windows and ends at
     # the last term.  Only a one-generator chunk can have the generators of
     # the one before; a grid keeps its ring while the windows stay inside,
-    # else frees it.
-    out = np.zeros((len(qs), n))
+    # else frees it.  A chunk reads the windows of its range of the sorted
+    # distinct L*t, kept until a chunk reaches past them or is too long for
+    # their width; if all L*t differ, or its range outnumbers its rows, its own.
     live = np.flatnonzero(qs)
+    done = np.empty((len(live), n))  # the live rows, in order
     modes, spans = np.floor(qs[live]), _span(qs[live], config.eps)
     widths = np.minimum(modes, spans) + spans + 1
     reach = _CHUNK_FLOATS // ((n + 1) * int(widths.min(initial=_CHUNK_FLOATS))) + 1
     scales = np.where(rates > 0.0, rates, 1.0)[:, np.newaxis, np.newaxis]
-    ring, held, bases, size = None, None, None, 0
+    ring, held, bases, size, kept, ids = None, None, None, 0, (0, 0), None
+    if len(qs) > 1 and not (qs[1:] > qs[:-1]).all():
+        distinct, ids = np.unique(qs[live], return_inverse=True)
+        ids = ids if len(distinct) < len(live) else None
     stop, rows = len(live), 1
     while stop > 0:
         chunk = live[stop - rows:stop]
-        first, end, weights = _poisson_windows(qs[chunk], config.eps)
+        at = None if ids is None else ids[stop - rows:stop]
+        low, high = (0, 0) if at is None else (int(at.min()), int(at.max()) + 1)
+        if at is None or high - low > rows:
+            first, end, weights = _poisson_windows(qs[chunk], config.eps)
+        else:
+            if not (kept[0] <= low and high <= kept[1] and rows * windows[2].shape[1] * (n + 1) <= _CHUNK_FLOATS):
+                kept, windows = (low, high), _poisson_windows(distinct[low:high], config.eps)
+            first, end, weights = (part[at - kept[0]] for part in windows)
         need = max(end.tolist())
         if need > UNIFORMIZATION_TERM_CAP:
             raise NumericFailureError(f"uniformization needs {need} terms, beyond the cap of {UNIFORMIZATION_TERM_CAP}")
@@ -311,12 +322,13 @@ def _uniformization_rows(p0: np.ndarray, gens: np.ndarray, config: SolverConfig,
         ks = (local * size + first - bases[local]) + np.arange(weights.shape[1])[:, np.newaxis]
         terms = ring.take(ks, axis=0, mode="clip")
         terms *= weights.T[:, :, np.newaxis]
-        out[chunk] = terms.sum(axis=0)
+        terms.sum(axis=0, out=done[stop - rows:stop])
         stop -= rows
-        bounds = np.maximum.accumulate(widths[max(0, stop - reach):stop][::-1])
-        rows = max(1, int(np.count_nonzero(np.arange(1, len(bounds) + 1) * bounds <= _CHUNK_FLOATS // (n + 1))))
-    # rows with L*t = 0 are the initial vector
-    out[qs == 0.0] = p0
+        if stop:
+            bounds = np.maximum.accumulate(widths[max(0, stop - reach):stop][::-1])
+            rows = max(1, int(np.count_nonzero(np.arange(1, len(bounds) + 1) * bounds <= _CHUNK_FLOATS // (n + 1))))
+    out = np.full((len(qs), n), p0)  # rows with L*t = 0 are the initial vector
+    out[live] = done
     return out.reshape(len(gens), times, n)
 
 

@@ -144,6 +144,40 @@ MUTANTS: tuple[Mutant, ...] = (
         "",
         ("tests/test_windows.py",),
     ),
+    # one Poisson window per distinct L*t, held across chunks
+    Mutant(
+        "held_windows_reused_past_their_range", "solve.py",
+        "if not (kept[0] <= low and high <= kept[1] and",
+        "if not (kept[0] <= low and low < kept[1] and",
+        ("tests/test_solver.py::TestStacks::test_stiff_coverage_sweep_makes_one_window_per_distinct_lt",
+         "tests/test_solver.py::TestStacks::test_stacks_with_repeated_lt_equal_pointwise_solves"),
+    ),
+    Mutant(
+        "row_reads_its_neighbours_window", "solve.py",
+        "(part[at - kept[0]] for part in windows)",
+        "(part[at - kept[0] - 1] for part in windows)",
+        ("tests/test_solver.py::TestStacks::test_coverage_sweep_makes_one_window_per_distinct_lt",
+         "tests/test_solver.py::TestStacks::test_stacks_with_repeated_lt_equal_pointwise_solves"),
+    ),
+    Mutant(
+        "slice_path_when_rows_share_windows", "solve.py",
+        "ids = ids if len(distinct) < len(live) else None",
+        "ids = None",
+        ("tests/test_solver.py::TestStacks::test_coverage_sweep_makes_one_window_per_distinct_lt",
+         "tests/test_solver.py::TestStacks::test_stiff_coverage_sweep_makes_one_window_per_distinct_lt"),
+    ),
+    Mutant(
+        "held_windows_read_by_too_many_rows", "solve.py",
+        " and rows * windows[2].shape[1] * (n + 1) <= _CHUNK_FLOATS):",
+        "):",
+        ("tests/test_solver.py::TestStacks::test_held_windows_wider_than_a_chunk_are_made_again",),
+    ),
+    Mutant(
+        "sparse_distinct_range_taken", "solve.py",
+        "if at is None or high - low > rows:",
+        "if at is None:",
+        ("tests/test_solver.py::TestStacks::test_sparse_distinct_range_keeps_the_budget",),
+    ),
     # model copies and parameter equality
     Mutant(
         "with_params_lists_fields_without_horizon", "model.py",

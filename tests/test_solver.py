@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_expm
@@ -889,6 +889,157 @@ class TestStacks:
             assert count == 1 or count * width * (dfwcs.n + 1) <= solve_module._CHUNK_FLOATS
         for k in (0, 1, 500, len(grid) - 1):
             assert np.array_equal(traj.probs[k], solve_at(dfwcs, config, grid[k]))
+
+    @staticmethod
+    def _lts(model, param, values, t):
+        """The L*t of each value's generator at time t."""
+        gens = build_generators(model, param, values)
+        return -gens.diagonal(axis1=1, axis2=2).min(axis=1) * t
+
+    def test_coverage_sweep_makes_one_window_per_distinct_lt(self, dfwcs, monkeypatch):
+        # L is state 3's exit rate 2 MU + LAMBDA2 C + LAMBDA2 (1 - C), which
+        # rounds two ways across C: 1001 rows, two L*t, interleaved
+        values = [k / 1000.0 for k in range(1001)]
+        lts = self._lts(dfwcs, "C", values, 4380.0)
+        assert len(set(lts.tolist())) == 2
+        windows, rings = self._record_chunks(monkeypatch)
+        probs = solve_module._solve_stack(dfwcs, build_generators(dfwcs, "C", values), UNI, [4380.0])[:, 0]
+        monkeypatch.undo()
+        assert len(rings) > 20  # many chunks
+        assert sum(count for count, _ in windows) <= 4
+        # rows spread over every chunk, covering both L*t
+        picked = list(range(0, 1001, 40)) + [999, 1000]
+        assert len(set(lts[picked].tolist())) == 2
+        for k in picked:
+            assert np.array_equal(probs[k], solve_at(dfwcs.with_params({"C": values[k]}), UNI, 4380.0))
+
+    def test_stiff_coverage_sweep_makes_one_window_per_distinct_lt(self, dfwcs, monkeypatch):
+        # at MU = 6 a window spans thousands of terms, so a chunk holds one
+        # or two rows, and the held windows must serve the later chunks
+        stiff = dfwcs.with_params({"MU": 6.0})
+        values = [0.9 + k / 100.0 for k in range(11)]
+        assert len(set(self._lts(stiff, "C", values, 4380.0).tolist())) == 2
+        windows, rings = self._record_chunks(monkeypatch)
+        probs = solve_module._solve_stack(stiff, build_generators(stiff, "C", values), UNI, [4380.0])[:, 0]
+        monkeypatch.undo()
+        assert len(rings) > 4 and sum(count for count, _ in windows) <= 4
+        for value, row in zip(values, probs):
+            assert np.array_equal(row, solve_at(stiff.with_params({"C": value}), UNI, 4380.0))
+
+    def test_hourly_grid_asks_for_each_lt_once(self, dfwcs, monkeypatch):
+        # no two L*t of a one-generator grid are equal: each row makes its
+        # own window, in the chunk that reads it
+        asked = []
+        poisson_windows = solve_module._poisson_windows
+
+        def record_values(qs, eps):
+            asked.extend(qs.tolist())
+            return poisson_windows(qs, eps)
+
+        monkeypatch.setattr(solve_module, "_poisson_windows", record_values)
+        solve_grid(dfwcs, UNI, range(4381))
+        expected = self._lts(dfwcs, "C", [dfwcs.params["C"]], 1.0)[0] * np.arange(1.0, 4381.0)
+        assert sorted(asked) == expected.tolist()
+
+    def test_stack_of_repeated_generators_equals_pointwise_solves(self, dfwcs):
+        values = [0.9, 0.95, 0.9, 1.0, 0.95, 0.9]
+        grid = [0.0, 1.0, 50.0, 4380.0]
+        probs = solve_module._solve_stack(dfwcs, build_generators(dfwcs, "C", values), UNI, grid)
+        for b, value in enumerate(values):
+            model = dfwcs.with_params({"C": value})
+            for k, t in enumerate(grid):
+                assert np.array_equal(probs[b, k], solve_at(model, UNI, t))
+
+    def test_repair_rate_sweep_with_distinct_l_equals_pointwise_solves(self, dfwcs):
+        values = [k / 100.0 for k in range(101)]
+        assert len(set(self._lts(dfwcs, "MU", values, 1.0).tolist())) == 101
+        probs = solve_module._solve_stack(dfwcs, build_generators(dfwcs, "MU", values), UNI, [4380.0])[:, 0]
+        for value, row in zip(values, probs):
+            assert np.array_equal(row, solve_at(dfwcs.with_params({"MU": value}), UNI, 4380.0))
+
+    def test_held_windows_wider_than_a_chunk_are_made_again(self, dfwcs, monkeypatch):
+        # the windows held for a chunk with a stiff row (thousands of terms)
+        # cover the 299 narrow rows before it, but read by all of them they
+        # would hold tens of megabytes; the chunk makes its own narrow ones
+        import tracemalloc
+
+        values = [0.001] * 300 + [6.0, 0.001]
+        gens = build_generators(dfwcs, "MU", values)
+        windows, _ = self._record_chunks(monkeypatch)
+        tracemalloc.start()
+        try:
+            probs = solve_module._solve_stack(dfwcs, gens, UNI, [4380.0])[:, 0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert peak < 8 * 8 * solve_module._CHUNK_FLOATS
+        assert sum(count for count, _ in windows) <= 4
+        narrow, stiff = (solve_at(dfwcs.with_params({"MU": mu}), UNI, 4380.0) for mu in (0.001, 6.0))
+        assert all(np.array_equal(row, stiff if value == 6.0 else narrow) for value, row in zip(values, probs))
+
+    def test_sparse_distinct_range_keeps_the_budget(self, dfwcs, monkeypatch):
+        # MU = 1/72 twice around MU = 0.014 on a grid: L differs by 0.8 %, so
+        # in sorted order the L*t of a chunk of one generator alternate with
+        # those of the other, and the chunk's range holds about twice its
+        # rows; it makes its own windows
+        values = [1 / 72, 0.014, 1 / 72]
+        grid = [float(t) for t in range(0, 4381, 10)]
+        windows, _ = self._record_chunks(monkeypatch)
+        probs = solve_module._solve_stack(dfwcs, build_generators(dfwcs, "MU", values), UNI, grid)
+        monkeypatch.undo()
+        for count, width in windows:
+            assert count == 1 or count * width * (dfwcs.n + 1) <= solve_module._CHUNK_FLOATS
+        for b, value in enumerate(values):
+            model = dfwcs.with_params({"MU": value})
+            for k in (1, 200, len(grid) - 1):
+                assert np.array_equal(probs[b, k], solve_at(model, UNI, grid[k]))
+
+    def test_stacks_with_repeated_lt_equal_pointwise_solves(self, dfwcs, monkeypatch):
+        # seeded differential: up to 40 values drawn from a pool of at most
+        # 6, so rows share L*t within and across chunks.  Some runs read
+        # held windows in a later chunk, others make them again, and no row
+        # may change a bit
+        falling = parse(self.FALLING)
+        cases = {
+            "dfwcs C": (dfwcs, "C", st.floats(0.0, 1.0)),
+            "dfwcs MU": (dfwcs, "MU", st.floats(0.0, 6.0)),
+            "falling C": (falling, "C", st.floats(0.0, 1.0)),
+        }
+        windows, rings = self._record_chunks(monkeypatch)
+        seen = set()
+
+        @settings(max_examples=40)
+        @given(
+            case=st.sampled_from(sorted(cases)),
+            data=st.data(),
+            grid=st.lists(st.floats(0.0, 4380.0), min_size=1, max_size=6, unique=True).map(sorted),
+            eps=st.sampled_from([1e-12, 1e-30]),
+        )
+        def check(case, data, grid, eps):
+            model, param, value = cases[case]
+            pool = data.draw(st.lists(value, min_size=1, max_size=6))
+            values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+            config = SolverConfig(eps=eps)
+            gens = build_generators(model, param, values)
+            windows.clear()
+            rings.clear()
+            probs = solve_module._solve_stack(model, gens, config, grid)
+            live = int(np.count_nonzero(self._lts(model, param, values, 1.0)[:, np.newaxis] * grid))
+            made = [calls for *_, calls in rings]
+            if any(a == b for a, b in zip(made, made[1:])):
+                seen.add("reused")  # a chunk read only held windows
+            if len(windows) > 1 and sum(count for count, _ in windows) < live:
+                seen.add("recomputed")
+            alone = {}
+            for b, v in enumerate(values):
+                for k, t in enumerate(grid):
+                    if (v, t) not in alone:
+                        alone[v, t] = solve_at(model.with_params({param: v}), config, t)
+                    assert np.array_equal(probs[b, k], alone[v, t])
+
+        check()
+        assert seen == {"reused", "recomputed"}
 
     def test_finalize_names_the_first_bad_row(self):
         block = np.full((1001, 7), 1.0 / 7.0)
