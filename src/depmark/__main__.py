@@ -1,6 +1,6 @@
 """Allow `python -m depmark` as an alias of the `depmark` script."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

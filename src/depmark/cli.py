@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .lang import ModelParseError, parse
@@ -47,7 +48,7 @@ from .model import DepmarkError, MarkovModel, Method, NumericFailureError, Solve
 if TYPE_CHECKING:  # numpy loads on first use: validate and audit never need it
     import numpy as np
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -211,6 +212,10 @@ def _emit_table(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     firsts = {row[0] for row in rows}
+    if set(map(type, firsts)) == {float} and not any(map(math.isnan, firsts)):
+        # %.9g is monotone: floats print alike only if sorted neighbours within 1e-8 relative do
+        ordered = sorted(firsts)
+        firsts = {x for a, b in zip(ordered, ordered[1:]) if b - a <= 2e-8 * (abs(a) + abs(b)) for x in (a, b)}
     if len(set(map(_cell, firsts))) < len(firsts):
         # two times or parameter values print alike: print that column exactly
         rows = [(repr(row[0]), *row[1:]) for row in rows]
@@ -268,9 +273,9 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 
     if config.method is Method.PAPER_LITERAL:
         trajectory, report = solve_paper_literal(model, config, grid)
-        defect = lambda k: 1.0 - float(trajectory.probs[k].sum())  # noqa: E731
+        defect = (1.0 - trajectory.probs.sum(axis=1)).tolist()
         extra.append(("max_mass_defect", _fmt(report.max_abs_defect)))
-        columns, rows = export_timeseries(trajectory, model, mass_defect=defect)
+        columns, rows = export_timeseries(trajectory, model, mass_defect=defect.__getitem__)
     else:
         trajectory = solve_grid(model, config, grid)
         columns, rows = export_timeseries(trajectory, model)
@@ -471,5 +476,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
+def run() -> NoReturn:
+    """The ``depmark`` process: ``main`` with the cyclic collector off (a command's
+    cycles, mostly argparse's parser, do not grow with its work), then every live
+    object frozen so exit-time collections skip them.  ``main`` leaves gc alone."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

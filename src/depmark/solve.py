@@ -134,9 +134,9 @@ _P = TypeVar("_P")  # the state a march carries: a vector, or the literal tuple
 _CHUNK_FLOATS = 1 << 16
 #: Most (generator, time) slices per chunk of matrix exponentials: a chunk
 #: shares its squarings, and its length, cut further to _CHUNK_FLOATS floats
-#: per stack for n > 32, bounds the memory of its stacks (one stack of a
-#: 4381-time grid adds megabytes of peak RSS), not the work.
-_EXPM_ROWS = 64
+#: per stack for n > 16, bounds the memory of its stacks and of SciPy's scratch,
+#: 5 stacks (one stack of a 4381-time grid adds megabytes of peak RSS), not the work.
+_EXPM_ROWS = 256
 
 
 def _finalize(probs: np.ndarray) -> np.ndarray:
@@ -347,13 +347,13 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
     import scipy.linalg  # deferred: costs more to import than the other methods take to run
 
     index = np.flatnonzero(generic)
-    pade, squarings = np.empty((len(index), *stack.shape[1:])), np.zeros(len(index), dtype=int)
+    squarings = np.zeros(len(index), dtype=int)
     try:
         from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-        work = np.empty((5, *stack.shape[1:]))  # SciPy's scratch: the step leaves e^(A/2^s) in work[0]
-        for j, i in enumerate(index.tolist()):
-            work[0] = stack[i]
+        works = np.empty((len(index), 5, *stack.shape[1:]))  # SciPy's scratch: e^(A/2^s) ends in works[j, 0]
+        works[:, 0] = stack[index]
+        for j, work in enumerate(works):
             m, squarings[j] = pick_pade_structure(work)
             if m < 0:
                 raise MemoryError(f"scipy.linalg.expm could not allocate its Pade structure (error code {m})")
@@ -361,12 +361,11 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
             if info != 0:
                 raise (MemoryError if info <= -11 else RuntimeError)(
                     f"scipy.linalg.expm failed in its Pade step (error code {info})")
-            pade[j] = work[0]
     except (ImportError, TypeError, ValueError):
         return scipy.linalg.expm(stack)
     # fewest squarings first: the slices that need the m-th are a suffix
     order = np.argsort(squarings, kind="stable")
-    pade = pade[order]
+    pade = works[order, 0]
     for first in np.searchsorted(squarings[order], np.arange(1, squarings.max(initial=0) + 1)).tolist():
         pade[first:] = np.matmul(pade[first:], pade[first:])
     exps = np.empty_like(stack)

@@ -213,6 +213,18 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_cli.py::TestFirstColumn",),
     ),
     Mutant(
+        "first_column_neighbours_within_1e-12", "cli.py",
+        "if b - a <= 2e-8 * (abs(a) + abs(b))",
+        "if b - a <= 2e-12 * (abs(a) + abs(b))",
+        ("tests/test_cli.py::TestFirstColumn::test_decision_matches_formatting_every_cell",),
+    ),
+    Mutant(
+        "first_column_neighbour_bound_ignores_sign", "cli.py",
+        "if b - a <= 2e-8 * (abs(a) + abs(b))",
+        "if b - a <= 2e-8 * (a + b)",
+        ("tests/test_cli.py::TestFirstColumn::test_decision_matches_formatting_every_cell",),
+    ),
+    Mutant(
         "int_cells_at_nine_digits", "cli.py",
         'if line is None or "e+" in line:',
         "if line is None:",
@@ -356,6 +368,25 @@ MUTANTS: tuple[Mutant, ...] = (
         "if is_coverage:",
         "if False:",
         ("tests/test_lang.py::TestGrammar::test_coverage_flag",),
+    ),
+    # the process entry point: collector off, objects frozen, main's code
+    Mutant(
+        "run_keeps_the_collector", "cli.py",
+        "    gc.disable()\n",
+        "",
+        ("tests/test_cli.py::TestRun",),
+    ),
+    Mutant(
+        "run_skips_the_freeze", "cli.py",
+        "    gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::TestRun",),
+    ),
+    Mutant(
+        "run_drops_the_exit_code", "cli.py",
+        "raise SystemExit(code)",
+        "raise SystemExit(0)",
+        ("tests/test_cli.py::TestRun",),
     ),
     # the binary rate nodes inherit _Binary's slots and methods
     Mutant(

@@ -1,11 +1,14 @@
 """Command line contract: flags, formats, exit codes, reproducibility."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import io
 import json
 import math
+import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ import pytest
 
 import depmark
 import depmark.cli as cli
+from conftest import REPO_ROOT
 from depmark.cli import main
 
 DFWCS = str(depmark.bundled_model_path("dfwcs.mdl"))
@@ -624,3 +628,130 @@ class TestFirstColumn:
         out = io.StringIO()
         cli._emit_table(out, "json", [], ["n", "x"], [(1000000000, 0.5)])
         assert json.loads(out.getvalue())["rows"] == [{"n": 1000000000, "x": 0.5}]
+
+    def test_decision_matches_formatting_every_cell(self):
+        # the rule that formats every distinct first cell and compares the
+        # texts, against _emit_table on columns with near-collisions at
+        # nine digits, both signs, zeros, subnormals, huge values and mixed
+        # types; a column whose first cells print alike prints them by repr
+        rng = random.Random(30)
+        columns = [
+            [0.0, -0.0], [0.0, 5e-324], [-5e-324, 5e-324], [5e-324, 1e-323], [1e-310, 1e-310 + 5e-324],
+            [1.7976931348623157e308, 1.7976931348623155e308], [math.inf, -math.inf, 1e308], [math.inf, 0.5],
+            [0.1234567885, 0.1234567895], [0.12345678849999999, 0.1234567885], [-0.9, -0.9000000001],
+            [1, 1.0000000001], [1, 2, 3], [1, 1.0, 2.5], ["a", 0.5, 0.5000000001], ["x", "y"],
+            [math.nan, 1.0], [math.nan, math.nan], [1.0, math.nan, 1.0000000001], [0.5, math.inf, math.nan, 0.5000000001],
+            [1e-8, 1.00000001e-8, 3.0], [99999999.5, 99999999.49999999],
+        ]
+        for _ in range(400):
+            base = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 308)
+            steps = [rng.choice((1e-12, 1e-10, 1e-9, 4e-9, 6e-9, 1e-8, 3e-8, 1e-6)) for _ in range(rng.randint(1, 6))]
+            column = [base * (1.0 + sum(steps[:k])) for k in range(len(steps) + 1)]
+            column += [math.nextafter(x, math.inf) for x in column[:rng.randint(0, 1)]]
+            rng.shuffle(column)
+            columns.append(column + column[:rng.randint(0, 2)])  # repeated rows are one value
+        outcomes = set()
+        for column in columns:
+            firsts = {x for x in column}
+            exact = len(set(map(cli._cell, firsts))) < len(firsts)
+            want = [repr(x) if exact else cli._cell(x) for x in column]
+            out = io.StringIO()
+            cli._emit_table(out, "csv", [], ["first", "n"], [(x, k) for k, x in enumerate(column)])
+            got = [row[0] for row in csv.reader(io.StringIO(out.getvalue()))][1:]
+            assert got == want, column
+            outcomes.add((exact, want != list(map(cli._cell, column)) if exact else want != list(map(repr, column))))
+        assert outcomes >= {(True, True), (False, True)}
+
+
+@pytest.fixture
+def collector_calls(monkeypatch):
+    """gc.disable and gc.freeze record their calls instead of acting, so
+    ``run`` leaves the test process's collector as it is."""
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    return calls
+
+
+# the README's command line walk-through, then a refusal
+TOUR = [
+    ["validate", DFWCS],
+    ["solve", DFWCS, "--at", "4380"],
+    ["solve", DFWCS, "--grid", "0:4380:1"],
+    ["solve", DFWCS, "--grid", "0:4380:10", "--output", "json"],
+    ["sweep", DFWCS, "--param", "C", "--values", "0.9,0.95,0.99,1", "--at", "4380"],
+    ["solve", DFWCS, "--method", "paper-literal", "--dt", "1", "--grid", "0:4380:1"],
+    ["simulate", DFWCS, "--at", "4380", "--trials", "100000", "--seed", "3"],
+    ["audit", "--table", TABLE3],
+    ["solve", DFWCS, "--grid", "0:10"],
+]
+
+
+class TestRun:
+    """``run`` is the process entry point: ``main`` with the cyclic collector
+    off, live objects frozen before exit, and ``main``'s exit code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", DFWCS], 0),
+        (["audit", "--table", TABLE3], 1),
+        (["solve", TOY, "--grid", "0:10"], 2),
+        (["solve", DFWCS, "--at", "100", "--method", "euler", "--dt", "100"], 3),
+        (["--version"], 0),
+    ], ids=["ok", "finding", "usage", "numeric", "version"])
+    def test_exits_with_mains_code(self, capsys, monkeypatch, collector_calls, argv, code):
+        assert run(capsys, *argv)[0] == code
+        monkeypatch.setattr(sys, "argv", ["depmark", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert collector_calls == ["disable", "freeze"]
+
+    def test_collector_is_off_during_main_and_frozen_after(self, monkeypatch, collector_calls):
+        def fake_main():
+            collector_calls.append("main")
+            return 3
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert collector_calls == ["disable", "main", "freeze"]
+        assert exc.value.code == 3
+
+    def test_main_leaves_the_collector_alone(self, capsys, collector_calls):
+        assert run(capsys, "solve", TOY, "--at", "2")[0] == 0
+        assert collector_calls == [] and gc.isenabled()
+
+    @pytest.mark.parametrize("argv", TOUR, ids=lambda argv: "-".join(a for a in argv[:4] if "/" not in a))
+    def test_child_process_prints_what_main_prints(self, capsys, argv):
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-m", "depmark", *argv], env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("small, large", [
+        (["solve", DFWCS, "--grid", "0:10:1"], ["solve", DFWCS, "--grid", "0:4380:1"]),
+        (["simulate", DFWCS, "--at", "4380", "--trials", "1000"],
+         ["simulate", DFWCS, "--at", "4380", "--trials", "100000"]),
+        (["sweep", DFWCS, "--param", "C", "--values", "0.9,1", "--at", "4380"],
+         ["sweep", DFWCS, "--param", "C", "--values", ",".join(str(0.9 + k / 10000) for k in range(1001)),
+          "--at", "4380"]),
+    ], ids=["grid", "trials", "sweep"])
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, capsys, small, large):
+        # what a command leaves for the collector, which run() switches off
+        def left(argv):
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+                capsys.readouterr()
+
+        left(small)  # first use: lazy imports
+        assert left(large) == left(small)
+
+    def test_console_script_is_run(self):
+        text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'depmark = "depmark.cli:run"'

@@ -11,6 +11,7 @@ order of the sum shows in the last bits, and a march that overflows, after
 which the states an equation does not name stay exactly 0."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -103,3 +104,18 @@ def test_json_output_of_the_pid_chain_replays_the_equations(capsys, dfwcs_pid):
     assert_same_bits(got, want)
     assert np.count_nonzero(want[-1]) == 4
     assert [row["mass_defect"] for row in doc["rows"][1:]] == defects[23::24].tolist()
+
+
+def test_json_output_of_an_overflowing_march_is_pinned(capsys):
+    # the march of the test above through the CLI: its rows hold inf and NaN
+    # from hour 3072 on, where its mass_defect column reads -inf, then NaN.
+    # The digest covers every byte after the manifest, which names the
+    # input's path
+    code = main(["solve", str(depmark.bundled_model_path("dfwcs.mdl")), "--method", "paper-literal", "--dt", "3",
+                 "--grid", "0:4380:3", "--set", "LAMBDA1=1", "--set", "C=1", "--output", "json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["manifest"]["max_mass_defect"] == "nan"
+    rows = out[out.index('\n  "columns"'):].encode()
+    assert (len(rows), hashlib.sha256(rows).hexdigest()) == (
+        551873, "ae98e010b9eeccea57cc272ec63f7d3bd231bc0e8a88bdafa1432fc571cc494a")
