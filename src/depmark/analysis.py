@@ -82,13 +82,8 @@ class DependabilityMetrics:
         return (self.t, self.reliability, self.safety, self.prob_fail_safe, self.prob_fail_unsafe)
 
 
-#: The metric each state class is summed into: R, Pfs or Pfu.
-_METRIC_OF_CLASS = {
-    StateClass.OPERATIONAL: 0,
-    StateClass.FAIL_OPERATIONAL: 0,
-    StateClass.FAIL_SAFE: 1,
-    StateClass.FAIL_UNSAFE: 2,
-}
+#: The metric each state class is summed into: R for the classes that deliver service, else Pfs or Pfu.
+_METRIC_OF_CLASS = {cls: 0 if cls.delivers_service else 1 if cls is StateClass.FAIL_SAFE else 2 for cls in StateClass}
 
 
 def _metric_columns(probs: np.ndarray, model: MarkovModel) -> tuple[np.ndarray, ...]:

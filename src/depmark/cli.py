@@ -140,12 +140,14 @@ def _nonnegative_time(text: str) -> float:
     return t
 
 
-def _load_model(
-    args: argparse.Namespace, err: io.TextIOBase
-) -> tuple[MarkovModel, str, dict[str, float]] | None:
+class _InvalidModel(Exception):
+    """The model has fatal validation findings, already written to stderr."""
+
+
+def _load_model(args: argparse.Namespace, err: io.TextIOBase) -> tuple[MarkovModel, str, dict[str, float]]:
     """The model in ``args.file`` with the ``--set`` overrides applied, the
-    digest of the file and the overrides; None once the model's fatal
-    validation findings are written to ``err``."""
+    digest of the file and the overrides.  Raises ``_InvalidModel`` once the
+    model's fatal validation findings are written to ``err``."""
     overrides: dict[str, float] = {}
     for pair in args.set or ():
         name, sep, value = pair.partition("=")
@@ -162,7 +164,9 @@ def _load_model(
     fatal = validate(model).fatal
     for finding in fatal:
         err.write(f"error[{finding.code}]: {finding.message}\n")
-    return None if fatal else (model, digest, overrides)
+    if fatal:
+        raise _InvalidModel
+    return model, digest, overrides
 
 
 def _manifest_pairs(
@@ -261,10 +265,7 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     config = _solver_config(args)  # a bad --eps or --dt is refused before numpy loads
     from .analysis import export_timeseries
     from .solve import solve_grid, solve_paper_literal
-    loaded = _load_model(args, err)
-    if loaded is None:
-        return EXIT_FINDING
-    model, digest, overrides = loaded
+    model, digest, overrides = _load_model(args, err)
 
     if args.grid is not None:
         grid, extra = _parse_grid(args.grid), [("grid", args.grid)]
@@ -288,10 +289,7 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     config = _solver_config(args)
     from .analysis import _TABLE_COLUMNS, sweep
-    loaded = _load_model(args, err)
-    if loaded is None:
-        return EXIT_FINDING
-    model, digest, overrides = loaded
+    model, digest, overrides = _load_model(args, err)
     values = _parse_values(args.values)
 
     results = sweep(model, args.param, values, args.at, config)
@@ -311,10 +309,7 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
     from .simulate import simulate
-    loaded = _load_model(args, err)
-    if loaded is None:
-        return EXIT_FINDING
-    model, digest, overrides = loaded
+    model, digest, overrides = _load_model(args, err)
 
     result = simulate(model, args.at, args.trials, args.seed)
     columns = ["state", "label", "count", "estimate", "ci99_half_width"]
@@ -395,16 +390,13 @@ def _add_common_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--method",
-        choices=tuple(m.value for m in Method),
-        default=Method.UNIFORMIZATION.value,
-        help="transient solver (default uniformization)",
-    )
-    parser.add_argument("--eps", type=float, default=1e-12,
-                        help="series truncation bound for uniformization, in [1e-300, 1) (default 1e-12)")
-    parser.add_argument("--dt", type=float, default=1.0,
-                        help="step for the euler and paper-literal methods (default 1)")
+    defaults = SolverConfig()
+    parser.add_argument("--method", choices=tuple(m.value for m in Method), default=defaults.method.value,
+                        help="transient solver (default %(default)s)")
+    parser.add_argument("--eps", type=float, default=defaults.eps,
+                        help="series truncation bound for uniformization, in [1e-300, 1) (default %(default)g)")
+    parser.add_argument("--dt", type=float, default=defaults.dt,
+                        help="step for the euler and paper-literal methods (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,6 +463,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace, io.TextIOBase, io.TextIOBase], int] = args.handler
     try:
         return handler(args, out, err)
+    except _InvalidModel:  # its findings are written
+        return EXIT_FINDING
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         err.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

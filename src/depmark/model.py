@@ -609,7 +609,7 @@ def validate(model: MarkovModel) -> ValidationReport:
     for tr in model.transitions:
         if tr.source in known and tr.source != tr.target:
             cls = model.state(tr.source).state_class
-            if cls in (StateClass.FAIL_SAFE, StateClass.FAIL_UNSAFE):
+            if not cls.delivers_service:
                 warning(
                     "absorbing-class-outflow",
                     f"state {tr.source} is {cls.keyword} but has an outgoing transition "

@@ -351,7 +351,9 @@ def _expm_slices(stack: np.ndarray, generic: np.ndarray) -> np.ndarray:
     try:
         from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-        works = np.empty((len(index), 5, *stack.shape[1:]))  # SciPy's scratch: e^(A/2^s) ends in works[j, 0]
+        # SciPy's scratch, e^(A/2^s) ends in works[j, 0]; the unused sixth slab keeps every slice 16-byte
+        # aligned for odd n, where some OpenBLAS kernels (Sandybridge) round differently off that boundary
+        works = np.empty((len(index), 6, *stack.shape[1:]))[:, :5]
         works[:, 0] = stack[index]
         for j, work in enumerate(works):
             m, squarings[j] = pick_pade_structure(work)

@@ -395,6 +395,33 @@ MUTANTS: tuple[Mutant, ...] = (
         '    _PREC, _SYMBOL, _OP = 1, "+", operator.add\n',
         ("tests/test_model.py::TestRateExpressions::test_expression_nodes_have_no_instance_dict",),
     ),
+    # SciPy's expm scratch: every slice on a 16-byte boundary
+    Mutant(
+        "expm_scratch_unaligned", "solve.py",
+        "works = np.empty((len(index), 6, *stack.shape[1:]))[:, :5]",
+        "works = np.empty((len(index), 5, *stack.shape[1:]))",
+        ("tests/test_solver.py::TestExpmKernels::test_grid_rows_equal_expm_under_the_avx_kernel",),
+    ),
+    # each decision said once: the service classes, the solver defaults, the invalid-model exit
+    Mutant(
+        "service_map_drops_fail_operational", "model.py",
+        "return self in (StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL)",
+        "return self in (StateClass.OPERATIONAL,)",
+        ("tests/test_analysis.py::TestMetrics::test_hand_distribution",
+         "tests/test_model.py::TestValidate::test_outflow_warning_only_for_classes_out_of_service"),
+    ),
+    Mutant(
+        "cli_eps_default_spelled_out", "cli.py",
+        "default=defaults.eps,",
+        "default=1e-11,",
+        ("tests/test_cli.py::TestSolverDefaults",),
+    ),
+    Mutant(
+        "invalid_model_runs_on", "cli.py",
+        "        raise _InvalidModel\n",
+        "        pass\n",
+        ("tests/test_cli.py::TestSolve::test_fatal_validation_blocks_solve",),
+    ),
 )
 
 

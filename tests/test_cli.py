@@ -310,6 +310,31 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "initial-distribution" in err
+        # the findings and nothing more: the command neither runs on nor reports twice
+        fatal = depmark.validate(depmark.parse(bad.read_text())).fatal
+        assert err == "".join(f"error[{finding.code}]: {finding.message}\n" for finding in fatal)
+
+
+class TestSolverDefaults:
+    """The solver flags default to ``SolverConfig``'s own fields."""
+
+    WHEN = {"solve": ["--at", "1"], "sweep": ["--param", "C", "--values", "0.9", "--at", "1"]}
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_flags_default_to_solver_config(self, command):
+        args = cli.build_parser().parse_args([command, DFWCS, *self.WHEN[command]])
+        defaults = depmark.SolverConfig()
+        assert (args.method, args.eps, args.dt) == (defaults.method.value, defaults.eps, defaults.dt)
+        assert cli._solver_config(args) == defaults
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_help_shows_the_defaults(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert code == 0 and err == ""
+        words = " ".join(out.split())  # as argparse wraps it at any width
+        assert "--method {uniformization,expm,euler,paper-literal} transient solver (default uniformization)" in words
+        assert "--eps EPS series truncation bound for uniformization, in [1e-300, 1) (default 1e-12)" in words
+        assert "--dt DT step for the euler and paper-literal methods (default 1)" in words
 
 
 class TestSweep:

@@ -359,6 +359,19 @@ class TestValidate:
         report = validate(m)
         assert any(f.code == "absorbing-class-outflow" for f in report.warnings)
 
+    @pytest.mark.parametrize("keyword, warned", [
+        ("operational", False), ("fail_operational", False), ("fail_safe", True), ("fail_unsafe", True),
+    ])
+    def test_outflow_warning_only_for_classes_out_of_service(self, keyword, warned):
+        m = MarkovModel(
+            states=(State(1, "up", StateClass.OPERATIONAL), State(2, "other", StateClass.from_keyword(keyword))),
+            transitions=(Transition(1, 2, Constant(0.5)), Transition(2, 1, Constant(0.5))),
+            params=ParameterSet(),
+            initial={1: 1.0},
+        )
+        codes = [f.code for f in validate(m).warnings]
+        assert codes == (["absorbing-class-outflow"] if warned else [])
+
     def test_fatal_sorted_first(self):
         m = tiny_model(
             transitions=(Transition(1, 1, Constant(1.0)), Transition(1, 9, Constant(0.5))),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernels
 import oracle_expm
 import depmark
 import depmark.solve as solve_module
@@ -1180,6 +1181,28 @@ class TestExpmKernels:
         monkeypatch.undo()
         assert len(sizes) > 4381 // solve_module._EXPM_ROWS and public == [1]
         assert max(sizes + public) == solve_module._EXPM_ROWS
+
+    # OpenBLAS picks its kernels when it loads, so only a child can run another
+    ROWS_UNDER_A_KERNEL = (
+        "import numpy as np, scipy.linalg, depmark\n"
+        "from depmark import Method, SolverConfig, build_generator, solve_at, solve_grid\n"
+        "model = depmark.load_model(depmark.bundled_model_path('dfwcs.mdl'))\n"
+        "config, grid = SolverConfig(Method.MATRIX_EXP), np.linspace(0.0, 4380.0, 150)\n"
+        "q, p0 = build_generator(model).entries, model.initial_vector()\n"
+        "for t, row in zip(grid.tolist(), solve_grid(model, config, grid).probs):\n"
+        "    assert np.array_equal(row, np.clip(p0 @ scipy.linalg.expm(q * t), 0.0, 1.0)), t\n"
+        "    assert np.array_equal(row, solve_at(model, config, t)), t\n"
+    )
+
+    def test_grid_rows_equal_expm_under_the_avx_kernel(self):
+        # Sandybridge's kernels round SciPy's Pade step differently on a
+        # scratch slice that starts off a 16-byte boundary; a CPU without
+        # AVX cannot run them and checks its own kernels
+        path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        if "avx" in kernels.cpu_flags():
+            env["OPENBLAS_CORETYPE"] = "Sandybridge"
+        subprocess.run([sys.executable, "-c", self.ROWS_UNDER_A_KERNEL], env=env, check=True, timeout=120)
 
 
 def _birth_death(n: int) -> MarkovModel:
