@@ -39,7 +39,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Mapping, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
 from .lang import ModelParseError, parse
@@ -85,12 +85,14 @@ def _exact(x: float) -> str:
     return _fmt(x) if float(_fmt(x)) == x else repr(x)
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """File text, less any UTF-8 byte-order mark, plus the SHA-256 hex
-    digest of the bytes actually read."""
+def _read_input(args: argparse.Namespace, path: str) -> tuple[str, list[tuple[str, str]]]:
+    """File text, less any UTF-8 byte-order mark, plus the run manifest's
+    head: the command, the version and the SHA-256 digest of the bytes read."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
+    head = [("command", args.command), ("version", __version__),
+            ("input", f"{path} sha256={hashlib.sha256(data).hexdigest()}")]
+    return data.decode("utf-8-sig"), head
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -144,10 +146,13 @@ class _InvalidModel(Exception):
     """The model has fatal validation findings, already written to stderr."""
 
 
-def _load_model(args: argparse.Namespace, err: io.TextIOBase) -> tuple[MarkovModel, str, dict[str, float]]:
-    """The model in ``args.file`` with the ``--set`` overrides applied, the
-    digest of the file and the overrides.  Raises ``_InvalidModel`` once the
-    model's fatal validation findings are written to ``err``."""
+def _load_model(
+    args: argparse.Namespace, err: io.TextIOBase, solver: SolverConfig | None = None,
+) -> tuple[MarkovModel, list[tuple[str, str]]]:
+    """The model in ``args.file`` with the ``--set`` overrides applied, and
+    the run manifest so far: its head, the overrides and ``solver``'s
+    settings.  Raises ``_InvalidModel`` once the model's fatal validation
+    findings are written to ``err``."""
     overrides: dict[str, float] = {}
     for pair in args.set or ():
         name, sep, value = pair.partition("=")
@@ -157,42 +162,24 @@ def _load_model(args: argparse.Namespace, err: io.TextIOBase) -> tuple[MarkovMod
             overrides[name] = float(value)
         except ValueError:
             raise ValueError(f"--set {name}: {value!r} is not a number") from None
-    text, digest = _read_input(args.file)
+    text, manifest = _read_input(args, args.file)
     model = parse(text)
     if overrides:
         model = model.with_params(overrides)
+        manifest.append(("set", " ".join(f"{k}={_exact(v)}" for k, v in overrides.items())))
     fatal = validate(model).fatal
     for finding in fatal:
         err.write(f"error[{finding.code}]: {finding.message}\n")
     if fatal:
         raise _InvalidModel
-    return model, digest, overrides
-
-
-def _manifest_pairs(
-    command: str,
-    input_path: str,
-    digest: str,
-    overrides: Mapping[str, float],
-    solver: SolverConfig | None,
-    extra: Sequence[tuple[str, str]] = (),
-) -> list[tuple[str, str]]:
-    pairs = [
-        ("command", command),
-        ("version", __version__),
-        ("input", f"{input_path} sha256={digest}"),
-    ]
-    if overrides:
-        pairs.append(("set", " ".join(f"{k}={_exact(v)}" for k, v in overrides.items())))
     if solver is not None:
         bits = [f"method={solver.method.value}"]
         if solver.method is Method.UNIFORMIZATION:
             bits.append(f"eps={_exact(solver.eps)}")
         if solver.method in (Method.EULER, Method.PAPER_LITERAL):
             bits.append(f"dt={_exact(solver.dt)}")
-        pairs.append(("solver", " ".join(bits)))
-    pairs.extend(extra)
-    return pairs
+        manifest.append(("solver", " ".join(bits)))
+    return model, manifest
 
 
 def _emit_table(
@@ -204,7 +191,7 @@ def _emit_table(
 ) -> None:
     if fmt == "json":
         payload = {
-            "manifest": {key: value for key, value in manifest},
+            "manifest": dict(manifest),
             "columns": list(columns),
             "rows": [dict(zip(columns, row)) for row in rows],
         }
@@ -216,10 +203,6 @@ def _emit_table(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     firsts = {row[0] for row in rows}
-    if set(map(type, firsts)) == {float} and not any(map(math.isnan, firsts)):
-        # %.9g is monotone: floats print alike only if sorted neighbours within 1e-8 relative do
-        ordered = sorted(firsts)
-        firsts = {x for a, b in zip(ordered, ordered[1:]) if b - a <= 2e-8 * (abs(a) + abs(b)) for x in (a, b)}
     if len(set(map(_cell, firsts))) < len(firsts):
         # two times or parameter values print alike: print that column exactly
         rows = [(repr(row[0]), *row[1:]) for row in rows]
@@ -242,9 +225,9 @@ def _emit_table(
 
 
 def _cmd_validate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
-    text, digest = _read_input(args.file)
+    text, manifest = _read_input(args, args.file)
     model = parse(text)
-    for key, value in _manifest_pairs("validate", args.file, digest, {}, None):
+    for key, value in manifest:
         out.write(f"# {key}: {value}\n")
     report = validate(model)
     for finding in report.findings:
@@ -265,23 +248,18 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
     config = _solver_config(args)  # a bad --eps or --dt is refused before numpy loads
     from .analysis import export_timeseries
     from .solve import solve_grid, solve_paper_literal
-    model, digest, overrides = _load_model(args, err)
-
-    if args.grid is not None:
-        grid, extra = _parse_grid(args.grid), [("grid", args.grid)]
-    else:
-        grid, extra = [args.at], [("at", _exact(args.at))]
+    model, manifest = _load_model(args, err, config)
+    grid = [args.at] if args.grid is None else _parse_grid(args.grid)
+    manifest.append(("at", _exact(args.at)) if args.grid is None else ("grid", args.grid))
 
     if config.method is Method.PAPER_LITERAL:
         trajectory, report = solve_paper_literal(model, config, grid)
         defect = (1.0 - trajectory.probs.sum(axis=1)).tolist()
-        extra.append(("max_mass_defect", _fmt(report.max_abs_defect)))
+        manifest.append(("max_mass_defect", _fmt(report.max_abs_defect)))
         columns, rows = export_timeseries(trajectory, model, mass_defect=defect.__getitem__)
     else:
         trajectory = solve_grid(model, config, grid)
         columns, rows = export_timeseries(trajectory, model)
-
-    manifest = _manifest_pairs("solve", args.file, digest, overrides, config, extra)
     _emit_table(out, args.output, manifest, columns, rows)
     return EXIT_OK
 
@@ -289,15 +267,12 @@ def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
 def _cmd_sweep(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     config = _solver_config(args)
     from .analysis import _TABLE_COLUMNS, sweep
-    model, digest, overrides = _load_model(args, err)
+    model, manifest = _load_model(args, err, config)
     values = _parse_values(args.values)
 
     results = sweep(model, args.param, values, args.at, config)
     rows = [(row.value, *row.metrics.as_row()[1:]) for row in results]
-    manifest = _manifest_pairs(
-        "sweep", args.file, digest, overrides, config,
-        [("param", args.param), ("at", _exact(args.at))],
-    )
+    manifest += [("param", args.param), ("at", _exact(args.at))]
     _emit_table(out, args.output, manifest, _TABLE_COLUMNS, rows)
     return EXIT_OK
 
@@ -309,7 +284,7 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
     from .simulate import simulate
-    model, digest, overrides = _load_model(args, err)
+    model, manifest = _load_model(args, err)
 
     result = simulate(model, args.at, args.trials, args.seed)
     columns = ["state", "label", "count", "estimate", "ci99_half_width"]
@@ -317,10 +292,7 @@ def _cmd_simulate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
         (state.id, state.label, int(result.counts[k]), float(result.estimates[k]), float(result.ci99_half_widths[k]))
         for k, state in enumerate(model.states)
     ]
-    manifest = _manifest_pairs(
-        "simulate", args.file, digest, overrides, None,
-        [("at", _exact(args.at)), ("trials", str(args.trials)), ("seed", str(args.seed))],
-    )
+    manifest += [("at", _exact(args.at)), ("trials", str(args.trials)), ("seed", str(args.seed))]
     _emit_table(out, args.output, manifest, columns, rows)
     return EXIT_OK
 
@@ -352,7 +324,7 @@ def _read_metric_table(path: str, text: str, columns: Sequence[str]) -> list[dic
 
 def _cmd_audit(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:
     from .analysis import _TABLE_COLUMNS, CLOSURE_TOL, TOTAL_TOL, audit_table
-    text, digest = _read_input(args.table)
+    text, manifest = _read_input(args, args.table)
     report = audit_table(_read_metric_table(args.table, text, _TABLE_COLUMNS))
 
     columns = [*_TABLE_COLUMNS, "closure_defect", "total_defect", "status"]
@@ -361,14 +333,8 @@ def _cmd_audit(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase)
         problems = [name for name, ok in (("closure", row.closure_ok), ("total", row.total_ok)) if not ok]
         rows.append((row.param, row.reliability, row.safety, row.prob_fail_safe, row.prob_fail_unsafe,
                      row.closure_defect, row.total_defect, "+".join(problems) or "ok"))
-    manifest = _manifest_pairs(
-        "audit", args.table, digest, {}, None,
-        [
-            ("closure_tol", _fmt(CLOSURE_TOL)),
-            ("total_tol", _fmt(TOTAL_TOL)),
-            ("flagged", str(len(report.flagged))),
-        ],
-    )
+    manifest += [("closure_tol", _fmt(CLOSURE_TOL)), ("total_tol", _fmt(TOTAL_TOL)),
+                 ("flagged", str(len(report.flagged)))]
     _emit_table(out, args.output, manifest, columns, rows)
     return EXIT_OK if report.ok else EXIT_FINDING
 

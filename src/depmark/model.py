@@ -297,12 +297,8 @@ class ParameterSet(Mapping):
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping[str, float] | None = None, **kwargs: float):
-        merged: dict[str, float] = {}
-        for source in (values or {}), kwargs:
-            for name, raw in source.items():
-                merged[str(name)] = _parameter_value(name, raw)
-        self._values = merged
+    def __init__(self, values: Mapping[str, float] | None = None):
+        self._values = {str(name): _parameter_value(name, raw) for name, raw in (values or {}).items()}
 
     def __getitem__(self, name: str) -> float:
         return self._values[name]

@@ -240,11 +240,16 @@ def simulate(model: MarkovModel, t: float, trials: int, seed: int = 0) -> Simula
     if not init_ids.size:
         raise ValueError("the model has no positive initial mass")
 
-    batches = (
-        (np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64))),
-         min(BATCH_SIZE, trials - batch * BATCH_SIZE))
-        for batch in range(-(-trials // BATCH_SIZE))
-    )
+    sequence = np.random.SeedSequence(0)
+
+    def generator(batch: int) -> np.random.Generator:
+        # Philox(key=...) draws OS entropy for a seed that its key overrides: key it through its state
+        bits = np.random.Philox(sequence)  # fresh: counter 0, buffer empty
+        bits.state = {**bits.state, "state": {**bits.state["state"], "key": np.array([seed, batch], np.uint64)}}
+        return np.random.Generator(bits)
+
+    batches = ((generator(batch), min(BATCH_SIZE, trials - batch * BATCH_SIZE))
+               for batch in range(-(-trials // BATCH_SIZE)))
     counts = _count(batches, t, init_cum, init_ids, build_generator(model).entries)
 
     estimates = counts / float(trials)

@@ -135,7 +135,7 @@ _CHUNK_FLOATS = 1 << 16
 #: Most (generator, time) slices per chunk of matrix exponentials: a chunk
 #: shares its squarings, and its length, cut further to _CHUNK_FLOATS floats
 #: per stack for n > 16, bounds the memory of its stacks and of SciPy's scratch,
-#: 5 stacks (one stack of a 4381-time grid adds megabytes of peak RSS), not the work.
+#: 6 slabs (one stack of a 4381-time grid adds megabytes of peak RSS), not the work.
 _EXPM_ROWS = 256
 
 

@@ -213,18 +213,6 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_cli.py::TestFirstColumn",),
     ),
     Mutant(
-        "first_column_neighbours_within_1e-12", "cli.py",
-        "if b - a <= 2e-8 * (abs(a) + abs(b))",
-        "if b - a <= 2e-12 * (abs(a) + abs(b))",
-        ("tests/test_cli.py::TestFirstColumn::test_decision_matches_formatting_every_cell",),
-    ),
-    Mutant(
-        "first_column_neighbour_bound_ignores_sign", "cli.py",
-        "if b - a <= 2e-8 * (abs(a) + abs(b))",
-        "if b - a <= 2e-8 * (a + b)",
-        ("tests/test_cli.py::TestFirstColumn::test_decision_matches_formatting_every_cell",),
-    ),
-    Mutant(
         "int_cells_at_nine_digits", "cli.py",
         'if line is None or "e+" in line:',
         "if line is None:",
@@ -421,6 +409,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "        raise _InvalidModel\n",
         "        pass\n",
         ("tests/test_cli.py::TestSolve::test_fatal_validation_blocks_solve",),
+    ),
+    # each manifest entry recorded where its value is learnt, in a fixed order
+    Mutant(
+        "manifest_set_after_solver", "cli.py",
+        'manifest.append(("solver", " ".join(bits)))',
+        'manifest.insert(3, ("solver", " ".join(bits)))',
+        ("tests/test_cli.py::TestManifestOrder",),
     ),
 )
 

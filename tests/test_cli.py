@@ -315,6 +315,35 @@ class TestSolve:
         assert err == "".join(f"error[{finding.code}]: {finding.message}\n" for finding in fatal)
 
 
+class TestManifestOrder:
+    """Each command's manifest keys, in order, the same in CSV and in JSON."""
+
+    HEAD = ["command", "version", "input"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["solve", DFWCS, "--set", "C=0.99", "--method", "euler", "--dt", "0.5", "--grid", "0:10:5"],
+         [*HEAD, "set", "solver", "grid"]),
+        (["solve", DFWCS, "--at", "3", "--method", "paper-literal"], [*HEAD, "solver", "at", "max_mass_defect"]),
+        (["sweep", DFWCS, "--param", "C", "--values", "0.9,1", "--at", "100", "--set", "MU=0.5"],
+         [*HEAD, "set", "solver", "param", "at"]),
+        (["simulate", DFWCS, "--at", "100", "--trials", "100", "--set", "C=0.95"],
+         [*HEAD, "set", "at", "trials", "seed"]),
+        (["audit", "--table", TABLE3], [*HEAD, "closure_tol", "total_tol", "flagged"]),
+    ], ids=["solve", "solve-literal", "sweep", "simulate", "audit"])
+    def test_keys_in_order(self, capsys, argv, keys):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), err
+        assert list(manifest(out)) == keys
+        code, out, err = run(capsys, *argv, "--output", "json")
+        assert code in (0, 1), err
+        assert list(json.loads(out)["manifest"]) == keys
+
+    def test_validate_keys_in_order(self, capsys):
+        code, out, _ = run(capsys, "validate", DFWCS)
+        assert code == 0
+        assert list(manifest(out)) == self.HEAD
+
+
 class TestSolverDefaults:
     """The solver flags default to ``SolverConfig``'s own fields."""
 

@@ -31,6 +31,17 @@ class TestDeterminism:
         assert np.array_equal(a.counts, b.counts)
         assert int(a.counts.sum()) == trials
 
+    def test_seeded_run_reads_no_os_entropy(self, dfwcs, monkeypatch):
+        # numpy draws a seed sequence's OS entropy through this one function
+        def refuse(bits):
+            raise AssertionError(f"drew {bits} bits of OS entropy")
+
+        monkeypatch.setattr("numpy.random.bit_generator.randbits", refuse)
+        with pytest.raises(AssertionError, match="128 bits"):
+            np.random.Philox(key=np.array([7, 0], dtype=np.uint64))
+        res = simulate(dfwcs.with_params({"C": 0.9}), 4380.0, BATCH_SIZE + 1, seed=7)
+        assert res.counts.tolist() == [65431, 11, 0, 0, 0, 0, 95]  # as TestGoldenCounts pins them
+
 
 class TestBasicShape:
     def test_counts_partition_trials(self, dfwcs):
