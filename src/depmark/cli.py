@@ -241,7 +241,7 @@ def _cmd_validate(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBa
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(method=Method.from_name(args.method), eps=args.eps, dt=args.dt)
+    return SolverConfig(method=Method(args.method), eps=args.eps, dt=args.dt)
 
 
 def _cmd_solve(args: argparse.Namespace, out: io.TextIOBase, err: io.TextIOBase) -> int:

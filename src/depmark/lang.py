@@ -146,7 +146,7 @@ def _lex(text: str, errors: list[ParseError]) -> list[_Token]:
 # parser
 
 _STATEMENT_KEYWORDS = ("param", "state", "trans", "init", "option")
-_CLASS_KEYWORDS = {cls.keyword: cls for cls in StateClass}
+_CLASS_KEYWORDS = {cls.value: cls for cls in StateClass}
 _KIND_KEYWORDS = {kind.value: kind for kind in TransitionKind}
 
 
@@ -347,8 +347,9 @@ def parse(text: str) -> MarkovModel:
             coverage.add(name)
 
     states: dict[int, State] = {}
+    seen_states: set[int] = set()  # refused declarations count too, so a repeat is still reported
     for sid, label, state_class, span, label_span in parser.states:
-        if sid in states:
+        if sid in seen_states:
             error(span, f"duplicate state id {sid}")
         elif not label:
             error(label_span, "state label is empty")
@@ -356,6 +357,7 @@ def parse(text: str) -> MarkovModel:
             error(label_span, "state label contains a carriage return")
         else:
             states[sid] = State(sid, label, state_class)
+        seen_states.add(sid)
 
     if not parser.states:
         error(SourceSpan(1, 1, 1), "document declares no states")
@@ -370,13 +372,15 @@ def parse(text: str) -> MarkovModel:
                 error(span, f"undeclared parameter {name!r} in rate expression")
 
     initial: dict[int, float] = {}
+    seen_inits: set[int] = set()
     for sid, prob, span in parser.inits:
-        if sid in initial:
+        if sid in seen_inits:
             error(span, f"duplicate init entry for state {sid}")
         elif sid not in states:
             error(span, f"init references undeclared state {sid}")
         else:
             initial[sid] = prob
+        seen_inits.add(sid)
 
     horizon: float | None = None
     for value, span in parser.options:
@@ -418,7 +422,7 @@ def serialize(model: MarkovModel) -> str:
         suffix = " coverage" if name in model.coverage else ""
         lines.append(f"param {name} = {model.params[name]!r}{suffix} ;")
     for state in model.states:
-        lines.append(f'state {state.id} "{state.label}" class = {state.state_class.keyword} ;')
+        lines.append(f'state {state.id} "{state.label}" class = {state.state_class.value} ;')
     for tr in model.transitions:
         kind = " kind = repair" if tr.kind is TransitionKind.REPAIR else ""
         lines.append(f"trans {tr.source} -> {tr.target} rate = {tr.rate}{kind} ;")

@@ -90,13 +90,6 @@ class Method(Enum):
     EULER = "euler"
     PAPER_LITERAL = "paper-literal"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Method":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown solver method {name!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
@@ -124,7 +117,7 @@ class SolverConfig:
 
 
 class StateClass(Enum):
-    """Service classification of a state."""
+    """Service classification of a state; each value is the model language's keyword."""
 
     OPERATIONAL = "operational"
     FAIL_OPERATIONAL = "fail_operational"
@@ -132,21 +125,9 @@ class StateClass(Enum):
     FAIL_UNSAFE = "fail_unsafe"
 
     @property
-    def keyword(self) -> str:
-        """Spelling used by the model language."""
-        return self.value
-
-    @property
     def delivers_service(self) -> bool:
         """True for states counted toward reliability."""
         return self in (StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL)
-
-    @classmethod
-    def from_keyword(cls, word: str) -> "StateClass":
-        for member in cls:
-            if member.value == word:
-                return member
-        raise ValueError(f"unknown state class {word!r}")
 
 
 class TransitionKind(Enum):
@@ -168,17 +149,8 @@ class RateExpr:
 
     __slots__ = ()
 
-    def _eval(self, params: Mapping[str, float]) -> float:
-        raise NotImplementedError
-
     # precedence used by __str__; atoms bind tightest
     _PREC = 3
-
-    def _fmt(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self._fmt()
 
 
 def _wrap(child: RateExpr, parent_prec: int, right: bool = False) -> str:
@@ -186,8 +158,7 @@ def _wrap(child: RateExpr, parent_prec: int, right: bool = False) -> str:
     # identical tree: same-precedence right operands need parens because
     # the grammar is left-associative
     need = child._PREC < parent_prec or (right and child._PREC == parent_prec)
-    text = child._fmt()
-    return f"({text})" if need else text
+    return f"({child})" if need else str(child)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +174,7 @@ class Constant(RateExpr):
     def _eval(self, params: Mapping[str, float]) -> float:
         return self.value
 
-    def _fmt(self) -> str:
+    def __str__(self) -> str:
         return repr(self.value)
 
 
@@ -217,7 +188,7 @@ class ParamRef(RateExpr):
         except KeyError:
             raise UnknownParameterError(f"unknown parameter {self.name!r}") from None
 
-    def _fmt(self) -> str:
+    def __str__(self) -> str:
         return self.name
 
 
@@ -232,7 +203,7 @@ class _Binary(RateExpr):
     def _eval(self, params: Mapping[str, float]) -> float:
         return self._OP(self.lhs._eval(params), self.rhs._eval(params))
 
-    def _fmt(self) -> str:
+    def __str__(self) -> str:
         return f"{_wrap(self.lhs, self._PREC)} {self._SYMBOL} {_wrap(self.rhs, self._PREC, right=True)}"
 
 
@@ -608,7 +579,7 @@ def validate(model: MarkovModel) -> ValidationReport:
             if not cls.delivers_service:
                 warning(
                     "absorbing-class-outflow",
-                    f"state {tr.source} is {cls.keyword} but has an outgoing transition "
+                    f"state {tr.source} is {cls.value} but has an outgoing transition "
                     f"to {tr.target}; such states are conventionally absorbing",
                 )
 

@@ -112,6 +112,10 @@ class MassDefectReport:
     step_times: np.ndarray
     defects: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.step_times.setflags(write=False)
+        self.defects.setflags(write=False)
+
     @property
     def max_abs_defect(self) -> float:
         return float(np.max(np.abs(self.defects))) if len(self.defects) else 0.0
@@ -460,15 +464,8 @@ _DFWCS_EDGES = frozenset(
     {(1, 2), (1, 7), (2, 1), (2, 3), (2, 7), (3, 2), (3, 6), (3, 7),
      (4, 5), (4, 7), (5, 4), (5, 6), (5, 7)}
 )
-_DFWCS_CLASSES = {
-    1: StateClass.OPERATIONAL,
-    2: StateClass.FAIL_OPERATIONAL,
-    3: StateClass.FAIL_OPERATIONAL,
-    4: StateClass.OPERATIONAL,
-    5: StateClass.FAIL_OPERATIONAL,
-    6: StateClass.FAIL_SAFE,
-    7: StateClass.FAIL_UNSAFE,
-}
+_DFWCS_CLASSES = (StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL, StateClass.FAIL_OPERATIONAL,
+                  StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL, StateClass.FAIL_SAFE, StateClass.FAIL_UNSAFE)
 _SHAPE_RTOL = 1e-9
 
 
@@ -487,11 +484,10 @@ def _extract_literal_rates(model: MarkovModel, q: np.ndarray) -> tuple[float, ..
         raise ShapeMismatchError(
             f"literal mode needs states 1..7, got ids {model.ids}"
         )
-    for sid, cls in _DFWCS_CLASSES.items():
-        actual = model.state(sid).state_class
-        if actual is not cls:
+    for state, cls in zip(model.states, _DFWCS_CLASSES):
+        if state.state_class is not cls:
             raise ShapeMismatchError(
-                f"literal mode expects state {sid} to be {cls.keyword}, got {actual.keyword}"
+                f"literal mode expects state {state.id} to be {cls.value}, got {state.state_class.value}"
             )
     edges = {(tr.source, tr.target) for tr in model.transitions}
     if edges != _DFWCS_EDGES:

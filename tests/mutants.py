@@ -417,6 +417,32 @@ MUTANTS: tuple[Mutant, ...] = (
         'manifest.insert(3, ("solver", " ".join(bits)))',
         ("tests/test_cli.py::TestManifestOrder",),
     ),
+    # each spelling said once: rate trees print through __str__, the literal
+    # classes in state order; the defect report frozen; duplicates against what was seen
+    Mutant(
+        "rate_print_drops_right_parens", "model.py",
+        "need = child._PREC < parent_prec or (right and child._PREC == parent_prec)",
+        "need = child._PREC < parent_prec",
+        ("tests/test_lang.py::TestProperties::test_expression_print_parse_identity",),
+    ),
+    Mutant(
+        "literal_class_table_swapped", "solve.py",
+        "StateClass.OPERATIONAL, StateClass.FAIL_OPERATIONAL, StateClass.FAIL_SAFE,",
+        "StateClass.FAIL_OPERATIONAL, StateClass.OPERATIONAL, StateClass.FAIL_SAFE,",
+        ("tests/test_solver.py::TestPaperLiteral",),
+    ),
+    Mutant(
+        "defect_report_writable", "solve.py",
+        "        self.step_times.setflags(write=False)\n        self.defects.setflags(write=False)\n",
+        "        pass\n",
+        ("tests/test_solver.py::TestPaperLiteral::test_defect_report_is_read_only",),
+    ),
+    Mutant(
+        "parse_duplicate_after_refused_entry", "lang.py",
+        "if sid in seen_states:",
+        "if sid in states:",
+        ("tests/test_lang_golden.py::test_golden_error_text",),
+    ),
 )
 
 

@@ -213,6 +213,15 @@ class TestSweepStack:
         monkeypatch.setattr(depmark.solve, "UNIFORMIZATION_TERM_CAP", 64)
         self._assert_first_failure(toy, "L", [0.1, 0.6, 0.4, 0.5, 2.0], 44.0, uni, depmark.NumericFailureError, 0.5)
 
+    def test_stack_error_reraised_unprefixed_when_every_value_solves(self, dfwcs, monkeypatch):
+        def fail(*args):
+            raise depmark.NumericFailureError("stack failed")
+
+        monkeypatch.setattr(depmark.solve, "_solve_stack", fail)
+        with pytest.raises(depmark.NumericFailureError) as swept:
+            sweep(dfwcs, "C", [0.9, 0.95], 100.0)
+        assert str(swept.value) == "stack failed"
+
 
 class TestRequirements:
     def test_thresholds(self):

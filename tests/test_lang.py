@@ -64,7 +64,7 @@ def models(draw):
     lines = [f"param {name} = {value!r};" for name, value in sorted(params.items())]
     for sid, cls in zip(ids, classes):
         label = draw(_label)
-        lines.append(f'state {sid} "{label}" class = {cls.keyword};')
+        lines.append(f'state {sid} "{label}" class = {cls.value};')
 
     n_trans = draw(st.integers(min_value=0, max_value=6))
     seen_pairs = set()
@@ -124,6 +124,9 @@ class TestBundledModels:
             again = parse(serialize(model))
             assert again == model
             assert serialize(again) == serialize(model)
+
+    def test_bundled_path_adds_the_suffix(self):
+        assert depmark.bundled_model_path("dfwcs") == depmark.bundled_model_path("dfwcs.mdl")
 
     def test_package_and_repo_copies_identical(self):
         import pathlib

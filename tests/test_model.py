@@ -54,11 +54,11 @@ def tiny_model(**overrides):
 class TestStateClass:
     def test_keyword_round_trip(self):
         for cls in StateClass:
-            assert StateClass.from_keyword(cls.keyword) is cls
+            assert StateClass(cls.value) is cls
 
     def test_unknown_keyword(self):
         with pytest.raises(ValueError):
-            StateClass.from_keyword("nonsense")
+            StateClass("nonsense")
 
     def test_service_delivery_split(self):
         assert StateClass.OPERATIONAL.delivers_service
@@ -192,6 +192,11 @@ class TestMarkovModel:
                 params=ParameterSet(),
                 initial={1: 1.0},
             )
+
+    def test_plain_mapping_becomes_a_parameter_set(self):
+        m = tiny_model(params={"L": 0.5})
+        assert isinstance(m.params, ParameterSet)
+        assert m.params == ParameterSet({"L": 0.5})
 
     def test_initial_vector(self):
         m = tiny_model(initial={2: 0.25, 1: 0.75})
@@ -364,7 +369,7 @@ class TestValidate:
     ])
     def test_outflow_warning_only_for_classes_out_of_service(self, keyword, warned):
         m = MarkovModel(
-            states=(State(1, "up", StateClass.OPERATIONAL), State(2, "other", StateClass.from_keyword(keyword))),
+            states=(State(1, "up", StateClass.OPERATIONAL), State(2, "other", StateClass(keyword))),
             transitions=(Transition(1, 2, Constant(0.5)), Transition(2, 1, Constant(0.5))),
             params=ParameterSet(),
             initial={1: 1.0},

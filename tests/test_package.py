@@ -21,6 +21,17 @@ def test_public_names_are_the_modules_lists():
     assert depmark.solve is importlib.import_module("depmark.solve")
 
 
+def test_dir_lists_every_public_name():
+    listed = dir(depmark)
+    assert listed == sorted(listed)
+    assert set(depmark.__all__) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        depmark.no_such_name
+
+
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_build_metadata_reads_the_package_version(monkeypatch):
     # one version string: pyproject.toml takes it from depmark.__version__

@@ -397,6 +397,13 @@ class TestPaperLiteral:
         _, report = solve_paper_literal(dfwcs, cfg)
         assert abs(report.defects[0] - 2.6400000000537105e-06) <= 1e-15
 
+    def test_defect_report_is_read_only(self, dfwcs):
+        _, report = solve_paper_literal(dfwcs, SolverConfig(Method.PAPER_LITERAL, dt=1.0, horizon=3.0))
+        with pytest.raises(ValueError):
+            report.step_times[0] = 5.0
+        with pytest.raises(ValueError):
+            report.defects[0] = 5.0
+
     def test_defect_grows_roughly_linearly_early(self, dfwcs):
         cfg = SolverConfig(Method.PAPER_LITERAL, dt=1.0, horizon=3.0)
         _, report = solve_paper_literal(dfwcs, cfg)
@@ -480,6 +487,12 @@ class TestPaperLiteral:
         )
         with pytest.raises(ShapeMismatchError):
             solve_paper_literal(relabeled, SolverConfig(Method.PAPER_LITERAL))
+
+    def test_wrong_class_message_names_the_state(self, dfwcs):
+        states = tuple(dataclasses.replace(s, state_class=depmark.StateClass.OPERATIONAL) for s in dfwcs.states)
+        message = "^literal mode expects state 2 to be fail_operational, got operational$"
+        with pytest.raises(ShapeMismatchError, match=message):
+            solve_paper_literal(dataclasses.replace(dfwcs, states=states), SolverConfig(Method.PAPER_LITERAL))
 
     def test_rejects_extra_edge(self, dfwcs):
         extra = dataclasses.replace(
@@ -594,12 +607,12 @@ class TestSolverConfig:
         assert rem[:4].tolist() == [0.0, 0.0, 0.0, 0.0] and rem[4] == pytest.approx(0.2)
 
     def test_method_names(self):
-        assert Method.from_name("uniformization") is Method.UNIFORMIZATION
-        assert Method.from_name("expm") is Method.MATRIX_EXP
-        assert Method.from_name("euler") is Method.EULER
-        assert Method.from_name("paper-literal") is Method.PAPER_LITERAL
+        assert Method("uniformization") is Method.UNIFORMIZATION
+        assert Method("expm") is Method.MATRIX_EXP
+        assert Method("euler") is Method.EULER
+        assert Method("paper-literal") is Method.PAPER_LITERAL
         with pytest.raises(ValueError):
-            Method.from_name("magic")
+            Method("magic")
 
 
 class TestOracleSanity:
